@@ -9,16 +9,23 @@
 //   all threads     >= min(4.0x, 2.0 * omp_get_max_threads())
 // The full-thread target is capped below 4x on machines with too few cores to
 // reach it from scaling; on a 1-core container both gates coincide at 2x.
+//
+// `kernel_microbench --grain` instead measures the work at which forking an
+// OpenMP team starts to pay (the basis of kParallelGrain in
+// common/parallel.hpp) and exits without gating; see run_grain below.
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -163,9 +170,97 @@ SkinnyResult run_skinny(std::size_t m, std::size_t n, std::size_t k, std::size_t
   return r;
 }
 
+// ------------------------------------------------------------ team grain
+// A row-parallel small GEMM (k = n = 64, so each row is 4096 multiply-adds
+// on the unpacked path) at growing row counts, run through parallel_for on
+// one thread and on the whole team. The per-call median of back-to-back
+// calls (threads warm, as in a training loop) shows the work from which the
+// team beats one thread at every larger size: kParallelGrain. A last line
+// times regions that alternate between the whole team and half of it, the
+// reason parallel_for never sizes a team in between.
+
+/// Median per-call seconds of `fn` over `calls` back-to-back calls.
+template <typename F>
+double median_call_seconds(F&& fn, std::size_t calls) {
+  std::vector<double> t(calls);
+  fn();  // warm-up: forks the team once
+  for (double& v : t) {
+    const Timer timer;
+    fn();
+    v = timer.seconds();
+  }
+  std::nth_element(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(calls / 2), t.end());
+  return t[calls / 2];
+}
+
+int run_grain() {
+  constexpr std::size_t kDim = 64;  // k = n: one row is kDim^2 multiply-adds
+  const int max_threads = omp_get_max_threads();
+  if (max_threads < 2) {
+    std::cout << "one thread: no team to size\n";
+    return 0;
+  }
+  const std::size_t calls = std::max<std::size_t>(200, bench::scaled(2000, 200));
+  Rng rng(29);
+  std::vector<double> b(kDim * kDim);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> a(256 * kDim), c(256 * kDim);
+  for (auto& v : a) v = rng.uniform(-1.0, 1.0);
+  // m rows through the seam at the current budget; a work estimate of one
+  // grain always forks the budget's team.
+  const auto rows = [&](std::size_t m) {
+    parallel_for(kParallelGrain, m, [&](std::size_t i) {
+      ops::detail::gemm(false, false, 1, kDim, kDim, a.data() + i * kDim, b.data(),
+                        c.data() + i * kDim, nullptr, ops::EpilogueAct::None);
+    });
+    g_sink = c[0];
+  };
+
+  TextTable table({"rows", "work (mul-add)", "1 thread (us)",
+                   std::to_string(max_threads) + " threads (us)"});
+  std::size_t wins_from = 0;  // work from which the team wins at every size
+  for (std::size_t m = 2; m <= 256; m *= 2) {
+    omp_set_num_threads(1);
+    const double serial = median_call_seconds([&] { rows(m); }, calls);
+    omp_set_num_threads(max_threads);
+    const double team = median_call_seconds([&] { rows(m); }, calls);
+    const std::size_t work = m * kDim * kDim;
+    if (team >= serial) {
+      wins_from = 0;
+    } else if (wins_from == 0) {
+      wins_from = work;
+    }
+    table.add_row({std::to_string(m), std::to_string(work), TextTable::num(serial * 1e6, 2),
+                   TextTable::num(team * 1e6, 2)});
+  }
+  std::cout << table.render() << "\n"
+            << "team beats 1 thread from " << wins_from << " multiply-adds on\n"
+            << "kParallelGrain: " << kParallelGrain << "\n";
+
+  // Shrinking a libgomp team ends the surplus pool threads; growing it back
+  // starts new ones.
+  constexpr std::size_t kChurnRows = 8;
+  const double constant = median_call_seconds([&] { rows(kChurnRows); }, calls);
+  bool half = false;
+  const double alternating = median_call_seconds(
+      [&] {
+        omp_set_num_threads(half ? std::max(1, max_threads / 2) : max_threads);
+        half = !half;
+        rows(kChurnRows);
+      },
+      calls);
+  omp_set_num_threads(max_threads);
+  std::cout << kChurnRows << " rows, " << max_threads << " threads every call: "
+            << TextTable::num(constant * 1e6, 2) << " us; alternating " << max_threads
+            << " and " << std::max(1, max_threads / 2)
+            << " threads: " << TextTable::num(alternating * 1e6, 2) << " us\n";
+  return 0;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "--grain") return run_grain();
   bench::print_header("GEMM kernel microbench: blocked+packed vs naive",
                       "the training/inference kernel cost model (§5, §7.3)");
 

@@ -1,0 +1,62 @@
+#pragma once
+// The library's one OpenMP seam. Every data-parallel loop in src/ goes
+// through parallel_for, which decides from an estimate of the loop's work
+// whether a team pays at all, instead of forking the default team whatever
+// the size:
+//
+//   team = work < kParallelGrain ? 1 : omp_get_max_threads()
+//
+// A team of 1 runs the loop on the calling thread without entering OpenMP,
+// so a 1-row product on the §7.3 online path pays no fork/join. A team is
+// never sized in between: libgomp ends pool threads when a team shrinks and
+// starts new ones when it grows back, so regions alternating between 4 and
+// 2 threads cost ~6x a region at a constant 4 (kernel_microbench --grain).
+//
+// Team budget: omp_get_max_threads() reads OpenMP's per-thread nthreads ICV.
+// Threads the serving runtime owns (ThreadPool workers, BatchingQueue
+// flushers) call omp_set_num_threads(1) once at start, so they never fork
+// teams of their own next to the application's threads, while the thread
+// that builds a model keeps the full team.
+//
+// Determinism: iterations stay the unit of parallel work and each writes
+// only its own outputs, so a result never depends on the team size chosen
+// (the contract in tensor/gemm.hpp).
+
+#include <omp.h>
+
+#include <algorithm>
+#include <cstddef>
+
+namespace ahn {
+
+/// Work, in multiply-add-sized operations, from which a loop forks a team.
+/// Set from `kernel_microbench --grain` (docs/PERFORMANCE.md,
+/// "Parallelism"): on a 4-vCPU host a 4-thread team tied one thread on a
+/// row-parallel small GEMM at 32768 multiply-adds and beat it at every
+/// larger size (about 2x at 65536).
+inline constexpr std::size_t kParallelGrain = 32768;
+
+/// The team parallel_for uses for `n` iterations totalling `work`: 1, or
+/// the calling thread's whole budget (some threads idle when n is smaller).
+[[nodiscard]] inline int parallel_team_size(std::size_t work, std::size_t n) noexcept {
+  if (n < 2 || work < kParallelGrain) return 1;
+  // Inside a team a loop never forks again (OpenMP would run it on one
+  // thread anyway, after paying for the region).
+  if (omp_in_parallel()) return 1;
+  return std::max(1, omp_get_max_threads());
+}
+
+/// Runs body(i) for i in [0, n), statically partitioned over a team sized
+/// by parallel_team_size(work, n). body must write disjoint data per i.
+template <typename Body>
+void parallel_for(std::size_t work, std::size_t n, Body&& body) {
+  if (parallel_team_size(work, n) == 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  // The team is the calling thread's whole budget, its nthreads ICV.
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
+}  // namespace ahn

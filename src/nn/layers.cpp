@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/parallel.hpp"
 #include "nn/quantization.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quantize.hpp"
@@ -243,8 +244,8 @@ Tensor Conv1dLayer::forward(const Tensor& x, bool training) {
   const std::size_t batch = x.rows();
   const std::size_t pad = kernel_ / 2;
   Tensor y({batch, out_channels_ * length_});
-#pragma omp parallel for schedule(static)
-  for (std::size_t n = 0; n < batch; ++n) {
+  const std::size_t row_work = out_channels_ * length_ * in_channels_ * kernel_;
+  parallel_for(batch * row_work, batch, [&](std::size_t n) {
     const double* xi = x.data() + n * in_channels_ * length_;
     double* yo = y.data() + n * out_channels_ * length_;
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
@@ -264,7 +265,7 @@ Tensor Conv1dLayer::forward(const Tensor& x, bool training) {
         yo[oc * length_ + t] = s;
       }
     }
-  }
+  });
   FlopCounter::instance().add(inference_cost(batch));
   return y;
 }

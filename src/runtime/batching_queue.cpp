@@ -1,5 +1,7 @@
 #include "runtime/batching_queue.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -31,7 +33,7 @@ BatchingQueue::~BatchingQueue() {
     stop_ = true;
     stranded = take_all_locked();
   }
-  stop_cv_.notify_all();
+  flusher_cv_.notify_all();
   if (flusher_.joinable()) flusher_.join();
   // Requests still pending at teardown are completed with a typed status —
   // never a broken promise, and no surprise inference on a dying queue.
@@ -58,6 +60,7 @@ std::future<Result<Tensor>> BatchingQueue::submit(const std::string& model,
   }
 
   PendingBatch ready;
+  bool wake_flusher = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
@@ -66,6 +69,7 @@ std::future<Result<Tensor>> BatchingQueue::submit(const std::string& model,
       return result;
     }
     PendingBatch& pending = pending_[model];
+    if (pending.empty()) pending.opened = Clock::now();
     pending.rows.push_back(std::move(row));
     pending.promises.push_back(std::move(promise));
     pending.deadlines.push_back(deadline);
@@ -75,8 +79,14 @@ std::future<Result<Tensor>> BatchingQueue::submit(const std::string& model,
     pending.contexts.push_back(obs::Tracer::current());
     pending.enqueue_seconds.push_back(tracer_ != nullptr ? tracer_->now_seconds() : 0.0);
     update_depth_locked(+1);
-    if (pending.rows.size() >= opts_.max_batch) ready = take_locked(model);
+    if (pending.rows.size() >= opts_.max_batch) {
+      ready = take_locked(model);
+    } else {
+      // Any older pending row already set the flusher's next deadline.
+      wake_flusher = pending_rows_ == 1;
+    }
   }
+  if (wake_flusher) flusher_cv_.notify_one();
   // Leader executes outside the lock: other clients keep filling the next
   // batch (and other models' batches) while this one runs.
   if (!ready.empty()) execute(model, std::move(ready));
@@ -105,6 +115,11 @@ bool BatchingQueue::draining() const {
   return draining_;
 }
 
+std::size_t BatchingQueue::flusher_sweeps() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return flusher_sweeps_;
+}
+
 void BatchingQueue::update_depth_locked(std::ptrdiff_t delta) {
   pending_rows_ = static_cast<std::size_t>(
       static_cast<std::ptrdiff_t>(pending_rows_) + delta);
@@ -121,11 +136,26 @@ BatchingQueue::PendingBatch BatchingQueue::take_locked(const std::string& model)
 
 std::vector<std::pair<std::string, BatchingQueue::PendingBatch>>
 BatchingQueue::take_all_locked() {
+  return take_opened_by_locked(Clock::time_point::max());
+}
+
+std::vector<std::pair<std::string, BatchingQueue::PendingBatch>>
+BatchingQueue::take_opened_by_locked(Clock::time_point cutoff) {
   std::vector<std::pair<std::string, PendingBatch>> ready;
   for (auto& [model, pending] : pending_) {
-    if (!pending.empty()) ready.emplace_back(model, take_locked(model));
+    if (!pending.empty() && pending.opened <= cutoff) {
+      ready.emplace_back(model, take_locked(model));
+    }
   }
   return ready;
+}
+
+BatchingQueue::Clock::time_point BatchingQueue::oldest_locked() const {
+  Clock::time_point oldest = Clock::time_point::max();
+  for (const auto& [model, pending] : pending_) {
+    if (!pending.empty()) oldest = std::min(oldest, pending.opened);
+  }
+  return oldest;
 }
 
 void BatchingQueue::fail_batch(PendingBatch batch, const Status& status) {
@@ -208,12 +238,24 @@ void BatchingQueue::execute(const std::string& model, PendingBatch batch) {
 }
 
 void BatchingQueue::flusher_loop() {
-  const auto period = std::chrono::duration<double>(opts_.max_delay_seconds);
+  // The flusher runs batches side by side with client threads; their loops
+  // stay serial rather than forking a team next to them.
+  omp_set_num_threads(1);
+  const auto max_delay = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(opts_.max_delay_seconds));
   std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    stop_cv_.wait_for(lock, period);
+  for (;;) {
+    // Idle: sleep until a row is pending. submit() wakes us on the first.
+    flusher_cv_.wait(lock, [this] { return stop_ || pending_rows_ > 0; });
     if (stop_) return;  // destructor resolves any stragglers
-    std::vector<std::pair<std::string, PendingBatch>> ready = take_all_locked();
+    // Sleep until the oldest pending row is due. A leader may take its batch
+    // first; the sweep then finds nothing due and the next deadline is set
+    // from whatever is pending by then.
+    const Clock::time_point due = oldest_locked() + max_delay;
+    if (flusher_cv_.wait_until(lock, due, [this] { return stop_; })) return;
+    ++flusher_sweeps_;
+    std::vector<std::pair<std::string, PendingBatch>> ready =
+        take_opened_by_locked(Clock::now() - max_delay);
     lock.unlock();
     for (auto& [model, batch] : ready) execute(model, std::move(batch));
     lock.lock();

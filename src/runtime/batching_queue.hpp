@@ -8,10 +8,11 @@
 //
 // Dispatch policy: the client thread whose submit() fills a batch to
 // `max_batch` executes that batch inline ("leader executes" — natural
-// backpressure, no handoff latency); a background flusher thread sweeps
-// stragglers every `max_delay_seconds` so a partially-filled batch is never
-// stranded. flush() force-drains synchronously (used by tests and by
-// clients that need a latency bound tighter than the flusher period).
+// backpressure, no handoff latency); a background flusher thread dispatches
+// a partially-filled batch once its first row has waited `max_delay_seconds`,
+// so no batch is stranded. The flusher sleeps while nothing is pending: an
+// idle queue costs no wakeups. flush() force-drains synchronously (used by
+// tests and by clients that need a latency bound tighter than max_delay).
 //
 // Reliability contract (docs/RELIABILITY.md):
 //  * every future carries a Result<Tensor> — batch failures resolve futures
@@ -43,7 +44,7 @@ namespace ahn::runtime {
 
 struct BatchingOptions {
   std::size_t max_batch = 32;          ///< coalesce at most this many rows
-  double max_delay_seconds = 200e-6;   ///< flusher sweep period
+  double max_delay_seconds = 200e-6;   ///< longest wait of a partial batch (0 = no flusher)
 };
 
 /// Thread-safety: fully thread-safe — submit/flush may race from any
@@ -98,6 +99,10 @@ class BatchingQueue {
 
   [[nodiscard]] const BatchingOptions& options() const noexcept { return opts_; }
 
+  /// Times the flusher woke to dispatch due batches. Stays 0 while the
+  /// queue is idle, however long: the flusher only wakes for pending rows.
+  [[nodiscard]] std::size_t flusher_sweeps() const;
+
  private:
   struct PendingBatch {
     std::vector<Tensor> rows;                   // each (1 x features)
@@ -105,6 +110,7 @@ class BatchingQueue {
     std::vector<Deadline> deadlines;
     std::vector<obs::SpanContext> contexts;     // submitter's span per row
     std::vector<double> enqueue_seconds;        // tracer-epoch enqueue time
+    Clock::time_point opened{};                 // first row's enqueue time
 
     [[nodiscard]] bool empty() const noexcept { return rows.empty(); }
   };
@@ -112,6 +118,12 @@ class BatchingQueue {
   /// Takes ownership of one model's pending batch (caller executes it).
   [[nodiscard]] PendingBatch take_locked(const std::string& model);
   [[nodiscard]] std::vector<std::pair<std::string, PendingBatch>> take_all_locked();
+  /// Takes every batch whose first row was enqueued at or before `cutoff`.
+  [[nodiscard]] std::vector<std::pair<std::string, PendingBatch>> take_opened_by_locked(
+      Clock::time_point cutoff);
+  /// Enqueue time of the oldest pending row. Callers hold mu_ and have
+  /// checked pending_rows_ > 0.
+  [[nodiscard]] Clock::time_point oldest_locked() const;
   void execute(const std::string& model, PendingBatch batch);
   /// Completes every request in `batch` with `status` (no execution).
   void fail_batch(PendingBatch batch, const Status& status);
@@ -132,7 +144,10 @@ class BatchingQueue {
   std::unordered_map<std::string, PendingBatch> pending_;
   bool draining_ = false;  ///< reject new submits with kShuttingDown
   bool stop_ = false;      ///< terminate the flusher thread
-  std::condition_variable stop_cv_;  ///< wakes the flusher early on shutdown
+  std::size_t flusher_sweeps_ = 0;
+  /// Wakes the flusher when the first row of an empty queue arrives, and on
+  /// shutdown.
+  std::condition_variable flusher_cv_;
   std::thread flusher_;
 };
 

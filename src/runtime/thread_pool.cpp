@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
+#include <omp.h>
+
 #include "common/error.hpp"
 
 namespace ahn::runtime {
@@ -41,6 +43,9 @@ void ThreadPool::enqueue(std::function<void()> job) {
 }
 
 void ThreadPool::worker_loop() {
+  // Pool workers run requests or search candidates side by side; the loops
+  // inside a job stay serial instead of forking a team per worker.
+  omp_set_num_threads(1);
   for (;;) {
     std::function<void()> job;
     {

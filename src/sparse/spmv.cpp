@@ -1,6 +1,7 @@
 #include "sparse/spmv.hpp"
 
 #include "common/flops.hpp"
+#include "common/parallel.hpp"
 
 namespace ahn::sparse {
 
@@ -20,12 +21,11 @@ void spmv(const Csr& a, std::span<const double> x, std::span<double> y) {
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const auto& v = a.values();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < a.rows(); ++r) {
+  parallel_for(a.nnz(), a.rows(), [&](std::size_t r) {
     double s = 0.0;
     for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) s += v[k] * x[ci[k]];
     y[r] = s;
-  }
+  });
   count_spmv(a, 1);
 }
 
@@ -56,15 +56,14 @@ Tensor spmm(const Csr& a, const Tensor& b) {
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const auto& v = a.values();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < a.rows(); ++r) {
+  parallel_for(a.nnz() * n, a.rows(), [&](std::size_t r) {
     double* crow = c.data() + r * n;
     for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
       const double av = v[k];
       const double* brow = b.data() + ci[k] * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  }
+  });
   count_spmv(a, n);
   return c;
 }

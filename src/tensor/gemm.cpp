@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/parallel.hpp"
+
 namespace ahn::ops::detail {
 
 namespace {
@@ -99,8 +101,7 @@ inline void write_back(double* c, std::size_t ldc, std::size_t rows,
 void gemm_small(bool a_trans, bool b_trans, std::size_t m, std::size_t n,
                 std::size_t k, const double* a, const double* b, double* c,
                 const double* bias, EpilogueAct act) {
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
+  parallel_for(m * n * k, m, [&](std::size_t i) {
     double* __restrict crow = c + i * n;
     for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0;
     if (!b_trans) {
@@ -128,7 +129,7 @@ void gemm_small(bool a_trans, bool b_trans, std::size_t m, std::size_t n,
     if (act != EpilogueAct::None) {
       for (std::size_t j = 0; j < n; ++j) crow[j] = epilogue_apply(act, crow[j]);
     }
-  }
+  });
 }
 
 void gemm_blocked(bool a_trans, bool b_trans, std::size_t m, std::size_t n,
@@ -147,8 +148,7 @@ void gemm_blocked(bool a_trans, bool b_trans, std::size_t m, std::size_t n,
 
     // Threads own disjoint row blocks, so no two threads touch the same C
     // element — the parallelism never reorders any element's reduction.
-#pragma omp parallel for schedule(static)
-    for (std::size_t ib = 0; ib < n_rowblocks; ++ib) {
+    parallel_for(m * n * kc, n_rowblocks, [&](std::size_t ib) {
       const std::size_t i0 = ib * kMc;
       const std::size_t mc = std::min(kMc, m - i0);
       const std::size_t mc_padded = (mc + kMr - 1) / kMr * kMr;
@@ -168,7 +168,7 @@ void gemm_blocked(bool a_trans, bool b_trans, std::size_t m, std::size_t n,
                      bias != nullptr ? bias + j0 : nullptr, act);
         }
       }
-    }
+    });
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/flops.hpp"
+#include "common/parallel.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/reference.hpp"
 
@@ -136,10 +137,7 @@ Tensor matvec(const Tensor& a, const Tensor& x) {
   const std::size_t m = a.rows(), n = a.cols();
   AHN_CHECK(x.size() == n);
   Tensor y({m});
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
-    y[i] = dot(a.row(i), x.flat());
-  }
+  parallel_for(m * n, m, [&](std::size_t i) { y[i] = dot(a.row(i), x.flat()); });
   count_gemm(m, 1, n);
   return y;
 }

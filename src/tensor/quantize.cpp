@@ -6,10 +6,7 @@
 #include <tuple>
 
 #include "common/error.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "common/parallel.hpp"
 
 namespace ahn::quant {
 
@@ -281,62 +278,53 @@ void i8_gemm(Int8Kernel kind, std::size_t m, std::size_t n, std::size_t k,
     // int16 x int16 -> int32 body vectorizes to widening multiply-adds.
     // Integer sums are exact, so neither the pairing nor the SIMD
     // reassociation can change the result.
-#pragma omp parallel if (m > 1)
-    {
-      std::vector<std::int32_t> acc(n);
-#pragma omp for schedule(static)
-      for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(m); ++ii) {
-        const auto i = static_cast<std::size_t>(ii);
-        const std::int16_t* arow = a16 + i * k;
-        std::size_t j = 0;
-        for (; j + 2 <= n; j += 2) {
-          const std::int16_t* w0 = wt16 + j * k;
-          const std::int16_t* w1 = w0 + k;
-          std::int32_t acc0 = 0, acc1 = 0;
-          for (std::size_t p = 0; p < k; ++p) {
-            const std::int32_t av = arow[p];
-            acc0 += av * w0[p];
-            acc1 += av * w1[p];
-          }
-          acc[j] = acc0;
-          acc[j + 1] = acc1;
+    parallel_for(m * n * k, m, [&](std::size_t i) {
+      static thread_local std::vector<std::int32_t> acc;
+      acc.resize(n);
+      const std::int16_t* arow = a16 + i * k;
+      std::size_t j = 0;
+      for (; j + 2 <= n; j += 2) {
+        const std::int16_t* w0 = wt16 + j * k;
+        const std::int16_t* w1 = w0 + k;
+        std::int32_t acc0 = 0, acc1 = 0;
+        for (std::size_t p = 0; p < k; ++p) {
+          const std::int32_t av = arow[p];
+          acc0 += av * w0[p];
+          acc1 += av * w1[p];
         }
-        for (; j < n; ++j) {
-          const std::int16_t* wrow = wt16 + j * k;
-          std::int32_t s = 0;
-          for (std::size_t p = 0; p < k; ++p) {
-            s += static_cast<std::int32_t>(arow[p]) * wrow[p];
-          }
-          acc[j] = s;
-        }
-        finish_row(acc.data(), wt_colsum, za, combined, bias, act, n, out + i * n);
+        acc[j] = acc0;
+        acc[j + 1] = acc1;
       }
-    }
+      for (; j < n; ++j) {
+        const std::int16_t* wrow = wt16 + j * k;
+        std::int32_t s = 0;
+        for (std::size_t p = 0; p < k; ++p) {
+          s += static_cast<std::int32_t>(arow[p]) * wrow[p];
+        }
+        acc[j] = s;
+      }
+      finish_row(acc.data(), wt_colsum, za, combined, bias, act, n, out + i * n);
+    });
     return;
   }
 
   // Row variant: accumulate a_ip * w[p, :] into an int32 row buffer — the
   // same access pattern as gemm_small, streaming each (k x n) weight row
   // once per input element.
-#pragma omp parallel if (m > 1)
-  {
-    std::vector<std::int32_t> acc(n);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(m); ++ii) {
-      const auto i = static_cast<std::size_t>(ii);
-      const std::int16_t* arow = a16 + i * k;
-      std::fill(acc.begin(), acc.end(), 0);
-      for (std::size_t p = 0; p < k; ++p) {
-        const std::int32_t a = arow[p];
-        if (a == 0) continue;  // exact: a zero factor contributes nothing
-        const std::int16_t* wrow = w16 + p * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          acc[j] += a * static_cast<std::int32_t>(wrow[j]);
-        }
+  parallel_for(m * n * k, m, [&](std::size_t i) {
+    static thread_local std::vector<std::int32_t> acc;
+    acc.assign(n, 0);
+    const std::int16_t* arow = a16 + i * k;
+    for (std::size_t p = 0; p < k; ++p) {
+      const std::int32_t a = arow[p];
+      if (a == 0) continue;  // exact: a zero factor contributes nothing
+      const std::int16_t* wrow = w16 + p * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        acc[j] += a * static_cast<std::int32_t>(wrow[j]);
       }
-      finish_row(acc.data(), wt_colsum, za, combined, bias, act, n, out + i * n);
     }
-  }
+    finish_row(acc.data(), wt_colsum, za, combined, bias, act, n, out + i * n);
+  });
 }
 
 }  // namespace ahn::quant

@@ -1,5 +1,7 @@
 #include "tensor/reference.hpp"
 
+#include "common/parallel.hpp"
+
 namespace ahn::ops::ref {
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -10,15 +12,14 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const double* pa = a.data();
   const double* pb = b.data();
   double* pc = c.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
+  parallel_for(m * n * k, m, [&](std::size_t i) {
     for (std::size_t l = 0; l < k; ++l) {
       const double av = pa[i * k + l];
       const double* brow = pb + l * n;
       double* crow = pc + i * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  }
+  });
   return c;
 }
 
@@ -27,8 +28,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   AHN_CHECK_MSG(b.cols() == k, "matmul_nt inner dims");
   Tensor c({m, n});
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
+  parallel_for(m * n * k, m, [&](std::size_t i) {
     for (std::size_t j = 0; j < n; ++j) {
       double s = 0.0;
       const double* ar = a.data() + i * k;
@@ -36,7 +36,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
       for (std::size_t l = 0; l < k; ++l) s += ar[l] * br[l];
       c.at(i, j) = s;
     }
-  }
+  });
   return c;
 }
 
@@ -50,15 +50,14 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   double* pc = c.data();
   // Rows of C are independent (each thread owns crow); the reduction over l
   // runs in a fixed ascending order per element.
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < m; ++i) {
+  parallel_for(m * n * k, m, [&](std::size_t i) {
     double* crow = pc + i * n;
     for (std::size_t l = 0; l < k; ++l) {
       const double av = pa[l * m + i];
       const double* brow = pb + l * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  }
+  });
   return c;
 }
 

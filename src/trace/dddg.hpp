@@ -22,7 +22,11 @@ namespace ahn::trace {
 
 class Dddg {
  public:
-  /// Builds from a recorded trace. `threads` = 0 uses the OpenMP default.
+  /// Builds from a recorded trace. `threads` sets the number of chunks the
+  /// trace is split into (0 = the caller's OpenMP budget); the result
+  /// depends only on that count. The chunks run on a parallel_for team
+  /// sized from the trace length and the caller's budget, so a caller at
+  /// budget 1 (or a short trace) builds them one after another.
   static Dddg build(const TraceRecorder& rec, std::size_t threads = 0);
 
   /// Register-flow edges (operand value id -> result value id).

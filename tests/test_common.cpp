@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <atomic>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "common/flops.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -178,6 +183,64 @@ TEST(FlopRegion, CapturesDelta) {
   EXPECT_EQ(d.flops, 10u);
   EXPECT_EQ(d.bytes_read, 20u);
   EXPECT_EQ(d.bytes_written, 30u);
+}
+
+// ------------------------------------------------------------ parallel_for
+
+/// Sets the calling thread's team budget for one test, then restores it.
+class TeamBudget {
+ public:
+  explicit TeamBudget(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~TeamBudget() { omp_set_num_threads(saved_); }
+  TeamBudget(const TeamBudget&) = delete;
+  TeamBudget& operator=(const TeamBudget&) = delete;
+
+ private:
+  int saved_;
+};
+
+TEST(ParallelFor, BelowTheGrainRunsSeriallyOnTheCallingThread) {
+  const TeamBudget budget(4);
+  EXPECT_EQ(parallel_team_size(kParallelGrain - 1, 1000), 1);
+  EXPECT_EQ(parallel_team_size(std::size_t{1} << 30, 1), 1);  // one iteration
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> seen(100, 0);
+  std::atomic<int> off_caller{0};
+  std::atomic<int> in_team{0};
+  parallel_for(kParallelGrain - 1, seen.size(), [&](std::size_t i) {
+    seen[i] += 1;
+    if (std::this_thread::get_id() != caller) ++off_caller;
+    if (omp_in_parallel()) ++in_team;
+  });
+  for (const int v : seen) EXPECT_EQ(v, 1);
+  EXPECT_EQ(off_caller.load(), 0);
+  EXPECT_EQ(in_team.load(), 0);  // never entered OpenMP
+}
+
+// Above the grain the team is the whole budget, never a size in between
+// (shrinking a libgomp team ends pool threads).
+TEST(ParallelFor, AboveTheGrainForksTheWholeBudget) {
+  const TeamBudget budget(4);
+  EXPECT_EQ(parallel_team_size(kParallelGrain, 1000), 4);
+  EXPECT_EQ(parallel_team_size(100 * kParallelGrain, 1000), 4);
+  EXPECT_EQ(parallel_team_size(kParallelGrain, 2), 4);  // surplus threads idle
+  std::vector<int> team(1000, 0);  // team size seen by each iteration
+  parallel_for(kParallelGrain, team.size(),
+               [&](std::size_t i) { team[i] = omp_get_num_threads(); });
+  for (const int t : team) EXPECT_EQ(t, 4);
+}
+
+TEST(ParallelFor, ThreadBudgetOfOneNeverForks) {
+  const TeamBudget budget(4);
+  std::thread serving([] {
+    omp_set_num_threads(1);
+    EXPECT_EQ(parallel_team_size(std::size_t{1} << 40, std::size_t{1} << 20), 1);
+  });
+  serving.join();
+  // The budget is per thread: the caller's own team is untouched.
+  EXPECT_EQ(parallel_team_size(100 * kParallelGrain, 1000), 4);
 }
 
 TEST(TextTable, RendersAlignedRows) {

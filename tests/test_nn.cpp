@@ -14,6 +14,7 @@
 #include "nn/train.hpp"
 #include "sparse/generators.hpp"
 #include "tensor/ops.hpp"
+#include "team_budgets.hpp"
 
 namespace ahn::nn {
 namespace {
@@ -117,6 +118,18 @@ TEST(Layers, Conv1dGradientCheck) {
   const Tensor x = Tensor::randn({2, 16}, rng);
   const Tensor y = Tensor::randn({2, 24}, rng);
   EXPECT_LT(max_gradient_error(net, x, y), 1e-4);
+}
+
+// Batch rows are conv1d's unit of parallel work: the forward output is
+// bitwise equal at every team size.
+TEST(Layers, Conv1dForwardBitwiseAcrossTeamSizes) {
+  Rng rng(4);
+  const std::size_t in = 4, out = 8, kernel = 3, length = 32, batch = 32;
+  ASSERT_TRUE(team_test::forks_full_team(batch * out * length * in * kernel, batch));
+  Conv1dLayer conv(in, out, kernel, length, rng);
+  const Tensor x = Tensor::randn({batch, in * length}, rng);
+  team_test::expect_bitwise_equal(
+      team_test::at_team_budgets([&] { return conv.forward(x, false); }));
 }
 
 TEST(Layers, MaxPoolForwardAndRouting) {

@@ -13,10 +13,6 @@
 #include <sstream>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/rng.hpp"
 #include "nas/search_task.hpp"
 #include "nn/quantization.hpp"
@@ -27,6 +23,7 @@
 #include "runtime/rollout.hpp"
 #include "tensor/kernel_select.hpp"
 #include "tensor/quantize.hpp"
+#include "team_budgets.hpp"
 
 namespace ahn {
 namespace {
@@ -158,40 +155,26 @@ TEST(Calibrator, NonFiniteSamplesIgnored) {
 // Calibration + quantized install must yield bitwise-identical networks
 // regardless of the OpenMP thread count running the forwards.
 TEST(Calibrator, QuantizedNetworkIdenticalAcrossThreadCounts) {
-#ifdef _OPENMP
   Rng data_rng(23);
   Tensor calib({64, 12});
   for (std::size_t i = 0; i < calib.size(); ++i) calib[i] = data_rng.gaussian();
-  Tensor probe({32, 12});
+  Tensor probe({256, 12});
   for (std::size_t i = 0; i < probe.size(); ++i) probe[i] = data_rng.gaussian();
+  constexpr std::size_t kHidden = 64;
+  // The probe's first layer alone sits above the grain: every budget forks.
+  ASSERT_TRUE(team_test::forks_full_team(probe.rows() * probe.cols() * kHidden, probe.rows()));
 
-  auto build = [&] {
+  nn::QuantizationOptions opts;
+  opts.probe_kernels = false;  // probe timing is allowed to vary; params are not
+  team_test::expect_bitwise_equal(team_test::at_team_budgets([&] {
     Rng rng(29);
     nn::TopologySpec spec;
     spec.num_layers = 2;
-    spec.hidden_units = 16;
-    return nn::build_surrogate(spec, 12, 3, rng);
-  };
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;  // probe timing is allowed to vary; params are not
-
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  nn::Network net1 = build();
-  nn::quantize_network(net1, calib, opts);
-  const Tensor out1 = net1.predict(probe);
-
-  omp_set_num_threads(4);
-  nn::Network net4 = build();
-  nn::quantize_network(net4, calib, opts);
-  const Tensor out4 = net4.predict(probe);
-  omp_set_num_threads(saved);
-
-  ASSERT_EQ(out1.size(), out4.size());
-  EXPECT_EQ(std::memcmp(out1.data(), out4.data(), out1.size() * sizeof(double)), 0);
-#else
-  GTEST_SKIP() << "OpenMP not enabled";
-#endif
+    spec.hidden_units = kHidden;
+    nn::Network net = nn::build_surrogate(spec, 12, 3, rng);
+    nn::quantize_network(net, calib, opts);
+    return net.predict(probe);
+  }));
 }
 
 // ---------------------------------------------------------- KernelSelector
@@ -251,6 +234,38 @@ TEST(Int8Gemm, DotAndRowVariantsBitwiseEqual) {
   quant::i8_gemm(quant::Int8Kernel::Row, m, n, k, a16.data(), wt16.data(), w16.data(),
                  colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::Relu, row.data());
   EXPECT_EQ(std::memcmp(dot.data(), row.data(), dot.size() * sizeof(double)), 0);
+}
+
+// Rows are the int8 kernels' unit of parallel work (each thread keeps its
+// own int32 accumulator row): both are bitwise equal at every team size.
+TEST(Int8Gemm, BitwiseAcrossTeamSizes) {
+  Rng rng(37);
+  const std::size_t m = 64, n = 32, k = 64;
+  ASSERT_TRUE(team_test::forks_full_team(m * n * k, m));
+  std::vector<double> a(m * k), w(k * n), bias(n);
+  for (auto& v : a) v = rng.uniform(-2.0, 2.0);
+  for (auto& v : w) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : bias) v = rng.uniform(-0.5, 0.5);
+  const quant::QuantParams aq = quant::params_from_range(-2.0, 2.0);
+  const quant::QuantParams wq = quant::params_symmetric(1.0);
+  std::vector<std::int16_t> a16(m * k), w16(k * n), wt16(n * k);
+  quant::quantize(a, aq, a16.data());
+  quant::quantize(w, wq, w16.data());
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) wt16[j * k + p] = w16[p * n + j];
+  }
+  std::vector<std::int32_t> colsum(n, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) colsum[j] += wt16[j * k + p];
+  }
+  for (const auto kind : {quant::Int8Kernel::Dot, quant::Int8Kernel::Row}) {
+    team_test::expect_bitwise_equal(team_test::at_team_budgets([&] {
+      std::vector<double> out(m * n);
+      quant::i8_gemm(kind, m, n, k, a16.data(), wt16.data(), w16.data(), colsum.data(),
+                     aq, wq, bias.data(), ops::EpilogueAct::Tanh, out.data());
+      return out;
+    }));
+  }
 }
 
 // ------------------------------------------------- Quantized dense serving

@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "nn/topology.hpp"
 #include "runtime/deployment.hpp"
 #include "runtime/orchestrator.hpp"
@@ -335,6 +340,21 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
   EXPECT_EQ(ran.load(), 32);
 }
 
+// Serving-owned threads carry a team budget of 1: whatever the work, a
+// parallel_for inside a pool job runs serially on the worker.
+TEST(ThreadPool, JobsSeeATeamOfOne) {
+  ThreadPool pool(2);
+  const std::size_t huge = std::size_t{1} << 40;
+  auto job = pool.submit([huge] {
+    std::vector<int> team(64, 0);  // team size seen by each iteration
+    parallel_for(huge, team.size(), [&](std::size_t i) { team[i] = omp_get_num_threads(); });
+    return std::pair(parallel_team_size(huge, huge), *std::max_element(team.begin(), team.end()));
+  });
+  const auto [team, widest] = job.get();
+  EXPECT_EQ(team, 1);
+  EXPECT_EQ(widest, 1);
+}
+
 // ------------------------------------------------- Concurrent orchestration
 
 TEST(Orchestrator, RunModelAsyncMatchesSyncResults) {
@@ -552,6 +572,41 @@ TEST(Batching, ModelRemovedBeforeDispatchResolvesTypedStatus) {
   queue.flush();
   EXPECT_EQ(f1.get().code(), StatusCode::kModelUnavailable);
   EXPECT_EQ(f2.get().code(), StatusCode::kModelUnavailable);
+}
+
+// A batch the flusher dispatches runs on a serving thread: team of 1 for any
+// work size, and not on the submitting thread.
+TEST(Batching, FlusherBatchesSeeATeamOfOne) {
+  std::atomic<int> team{0};
+  std::atomic<bool> on_submitter{true};
+  const std::thread::id submitter = std::this_thread::get_id();
+  BatchingQueue queue(
+      [&](const std::string&, const Tensor& batch, const std::vector<obs::SpanContext>&) {
+        team = parallel_team_size(std::size_t{1} << 40, std::size_t{1} << 20);
+        on_submitter = std::this_thread::get_id() == submitter;
+        return BatchingQueue::RowResults(batch.rows(), Result<Tensor>(batch));
+      },
+      BatchingOptions{.max_batch = 32, .max_delay_seconds = 100e-6});
+  ASSERT_TRUE(queue.submit("m", Tensor({1, 4}, {1, 2, 3, 4})).get().is_ok());
+  EXPECT_FALSE(on_submitter.load());
+  EXPECT_EQ(team.load(), 1);
+}
+
+// The flusher sleeps while nothing is pending: an idle queue sweeps zero
+// times over many max_delay periods, and one partial batch costs one sweep.
+TEST(Batching, IdleFlusherDoesNotSweep) {
+  BatchingQueue queue(
+      [](const std::string&, const Tensor& batch, const std::vector<obs::SpanContext>&) {
+        return BatchingQueue::RowResults(batch.rows(), Result<Tensor>(batch));
+      },
+      BatchingOptions{.max_batch = 32, .max_delay_seconds = 100e-6});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // 500 periods
+  EXPECT_EQ(queue.flusher_sweeps(), 0u);
+
+  ASSERT_TRUE(queue.submit("m", Tensor({1, 4}, {1, 2, 3, 4})).get().is_ok());
+  EXPECT_EQ(queue.flusher_sweeps(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(queue.flusher_sweeps(), 1u);  // idle again
 }
 
 // ------------------------------------------------------------- ServingStats

@@ -8,6 +8,7 @@
 #include "sparse/generators.hpp"
 #include "sparse/spmv.hpp"
 #include "tensor/ops.hpp"
+#include "team_budgets.hpp"
 
 namespace ahn::sparse {
 namespace {
@@ -124,6 +125,16 @@ TEST(Spmm, MatchesDenseMatmul) {
   const Tensor c = spmm(a, b);
   const Tensor cd = ops::matmul(a.to_dense(), b);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], cd[i], 1e-12);
+}
+
+// Output rows are spmm's unit of parallel work: the product is bitwise
+// equal at every team size.
+TEST(Spmm, BitwiseAcrossTeamSizes) {
+  Rng rng(7);
+  const Csr a = random_sparse(64, 64, 0.25, rng);
+  const Tensor b = Tensor::randn({64, 128}, rng);
+  ASSERT_TRUE(team_test::forks_full_team(a.nnz() * b.cols(), a.rows()));
+  team_test::expect_bitwise_equal(team_test::at_team_budgets([&] { return spmm(a, b); }));
 }
 
 TEST(Csr, SliceRowsPreservesContent) {

@@ -7,7 +7,6 @@
 // serving rely on.
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <cstring>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "tensor/ops.hpp"
 #include "tensor/reference.hpp"
 #include "tensor/tensor.hpp"
+#include "team_budgets.hpp"
 
 namespace ahn {
 namespace {
@@ -226,28 +226,27 @@ TEST_F(GemmKernels, NaiveImplSelectable) {
 }
 
 // The determinism contract: bitwise-identical output for any thread count.
-// Both GEMM paths (small and blocked) are covered — 40x48x24 stays on the
-// small path, 80x96x300 packs and splits KC panels.
 TEST_F(GemmKernels, BitwiseDeterministicAcrossThreadCounts) {
   Rng rng(13);
   struct Shape { std::size_t m, k, n; };
-  for (const auto& s : {Shape{40, 24, 48}, Shape{80, 300, 96}}) {
+  // 256 x 24 x 48 takes the unpacked path (k * n <= kSmallGemm) and splits
+  // rows; 256 x 300 x 96 takes the blocked path with four 64-row blocks and
+  // a KC split. Both sit above the grain, so each budget forks a real team.
+  for (const auto& s : {Shape{256, 24, 48}, Shape{256, 300, 96}}) {
+    if (s.k * s.n <= ops::detail::kSmallGemm) {
+      ASSERT_TRUE(team_test::forks_full_team(s.m * s.n * s.k, s.m));
+    } else {
+      // Each KC panel is its own parallel loop; the last one is the thinnest.
+      const std::size_t row_blocks = (s.m + ops::detail::kMc - 1) / ops::detail::kMc;
+      const std::size_t last_kc =
+          s.k % ops::detail::kKc == 0 ? ops::detail::kKc : s.k % ops::detail::kKc;
+      ASSERT_TRUE(team_test::forks_full_team(s.m * s.n * last_kc, row_blocks));
+    }
     const Tensor a = Tensor::randn({s.m, s.k}, rng);
     const Tensor b = Tensor::randn({s.k, s.n}, rng);
     const Tensor bias = Tensor::randn({s.n}, rng);
-    const int saved = omp_get_max_threads();
-    std::vector<Tensor> outs;
-    for (int threads : {1, 2, 8}) {
-      omp_set_num_threads(threads);
-      outs.push_back(ops::matmul_epilogue(a, b, &bias, ops::EpilogueAct::Relu));
-    }
-    omp_set_num_threads(saved);
-    for (std::size_t i = 1; i < outs.size(); ++i) {
-      ASSERT_EQ(0, std::memcmp(outs[0].data(), outs[i].data(),
-                               outs[0].size() * sizeof(double)))
-          << "thread-count variant " << i << " differs for " << s.m << "x"
-          << s.k << "x" << s.n;
-    }
+    team_test::expect_bitwise_equal(team_test::at_team_budgets(
+        [&] { return ops::matmul_epilogue(a, b, &bias, ops::EpilogueAct::Relu); }));
   }
 }
 
