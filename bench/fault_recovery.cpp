@@ -106,7 +106,7 @@ int main() {
 
   runtime::OrchestratorOptions opts;
   opts.max_batch = 64;
-  opts.batch_delay_seconds = 200e-6;
+  opts.batch_flusher = true;
   opts.retry.max_attempts = 4;
   opts.retry.initial_backoff_seconds = 10e-6;
   runtime::Orchestrator orc(runtime::DeviceModel{}, opts);

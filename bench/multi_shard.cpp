@@ -59,7 +59,7 @@ runtime::ClusterOptions cluster_options(std::size_t shards) {
   opts.shards = shards;
   opts.replication = std::min<std::size_t>(2, shards);
   opts.shard_opts.max_batch = 1;              // constant per-request device cost
-  opts.shard_opts.batch_delay_seconds = 0.0;  // no flusher thread
+  opts.shard_opts.batch_flusher = false;  // no flusher thread
   return opts;
 }
 

@@ -236,7 +236,7 @@ std::shared_ptr<runtime::ServableModel> make_v1(const Tensor& train_x) {
 runtime::OrchestratorOptions inline_opts() {
   runtime::OrchestratorOptions opts;
   opts.max_batch = 1;              // inline: the loop below drives the rollout
-  opts.batch_delay_seconds = 0.0;  // no flusher thread
+  opts.batch_flusher = false;  // no flusher thread
   return opts;
 }
 

@@ -121,7 +121,7 @@ runtime::ClusterOptions cluster_options() {
   opts.shards = 2;
   opts.replication = 2;
   opts.shard_opts.max_batch = 1;              // inline: caller drives rollouts
-  opts.shard_opts.batch_delay_seconds = 0.0;  // no flusher thread
+  opts.shard_opts.batch_flusher = false;  // no flusher thread
   opts.shard_opts.monitor.sample_every = 1;
   opts.shard_opts.monitor.drift_threshold = kDriftThreshold;
   return opts;

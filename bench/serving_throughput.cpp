@@ -60,7 +60,7 @@ int main() {
 
   runtime::OrchestratorOptions opts;
   opts.max_batch = 64;
-  opts.batch_delay_seconds = 200e-6;
+  opts.batch_flusher = true;
   // Wall-clock here must honor the analytic accelerator (this testbed has no
   // real device): every executed batch occupies the modeled device for its
   // modeled online time, so the serial path pays per-request fetch/load/

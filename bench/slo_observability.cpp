@@ -93,7 +93,7 @@ runtime::ClusterOptions cluster_options(obs::Tracer* tracer,
   opts.shards = 2;
   opts.replication = 2;
   opts.shard_opts.max_batch = 1;              // submits execute inline
-  opts.shard_opts.batch_delay_seconds = 0.0;  // no flusher thread
+  opts.shard_opts.batch_flusher = false;  // no flusher thread
   opts.shard_opts.tracer = tracer;
   opts.shard_opts.trace_sample_every = sample_every;
   if (with_slos) opts.shard_opts.slos = bench_slos();

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   opts.shards = 2;
   opts.replication = 2;
   opts.shard_opts.max_batch = 1;
-  opts.shard_opts.batch_delay_seconds = 0.0;
+  opts.shard_opts.batch_flusher = false;
   opts.shard_opts.tracer = &tracer;
   opts.shard_opts.trace_sample_every = 4;
   obs::SloSpec avail;

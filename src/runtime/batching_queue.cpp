@@ -19,8 +19,9 @@ BatchingQueue::BatchingQueue(BatchFn run_batch, BatchingOptions opts, ServingSta
   // updates on the submit path are a single atomic store.
   if (stats_ != nullptr) {
     depth_gauge_ = &stats_->metrics().gauge("serving.batch_queue_depth");
+    wait_hist_ = &stats_->metrics().histogram("serving.batch_wait_seconds");
   }
-  if (opts_.max_delay_seconds > 0.0) {
+  if (opts_.flusher) {
     flusher_ = std::thread([this] { flusher_loop(); });
   }
 }
@@ -82,7 +83,8 @@ std::future<Result<Tensor>> BatchingQueue::submit(const std::string& model,
     if (pending.rows.size() >= opts_.max_batch) {
       ready = take_locked(model);
     } else {
-      // Any older pending row already set the flusher's next deadline.
+      // The flusher sleeps only on an empty queue; a busy one finds this row
+      // when it loops.
       wake_flusher = pending_rows_ == 1;
     }
   }
@@ -136,26 +138,11 @@ BatchingQueue::PendingBatch BatchingQueue::take_locked(const std::string& model)
 
 std::vector<std::pair<std::string, BatchingQueue::PendingBatch>>
 BatchingQueue::take_all_locked() {
-  return take_opened_by_locked(Clock::time_point::max());
-}
-
-std::vector<std::pair<std::string, BatchingQueue::PendingBatch>>
-BatchingQueue::take_opened_by_locked(Clock::time_point cutoff) {
   std::vector<std::pair<std::string, PendingBatch>> ready;
   for (auto& [model, pending] : pending_) {
-    if (!pending.empty() && pending.opened <= cutoff) {
-      ready.emplace_back(model, take_locked(model));
-    }
+    if (!pending.empty()) ready.emplace_back(model, take_locked(model));
   }
   return ready;
-}
-
-BatchingQueue::Clock::time_point BatchingQueue::oldest_locked() const {
-  Clock::time_point oldest = Clock::time_point::max();
-  for (const auto& [model, pending] : pending_) {
-    if (!pending.empty()) oldest = std::min(oldest, pending.opened);
-  }
-  return oldest;
 }
 
 void BatchingQueue::fail_batch(PendingBatch batch, const Status& status) {
@@ -182,6 +169,11 @@ void BatchingQueue::execute(const std::string& model, PendingBatch batch) {
     live.enqueue_seconds.push_back(batch.enqueue_seconds[r]);
   }
   if (live.empty()) return;
+  // One sample per batch, not per row, keeps the histogram's atomics off the
+  // per-row path.
+  if (wait_hist_ != nullptr) {
+    wait_hist_->record(std::chrono::duration<double>(now - batch.opened).count());
+  }
 
   // Per traced row, the coalescing delay becomes a "batching.batch_wait"
   // span parented under the *submitting* request — the one interval a
@@ -241,21 +233,15 @@ void BatchingQueue::flusher_loop() {
   // The flusher runs batches side by side with client threads; their loops
   // stay serial rather than forking a team next to them.
   omp_set_num_threads(1);
-  const auto max_delay = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(opts_.max_delay_seconds));
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Idle: sleep until a row is pending. submit() wakes us on the first.
     flusher_cv_.wait(lock, [this] { return stop_ || pending_rows_ > 0; });
     if (stop_) return;  // destructor resolves any stragglers
-    // Sleep until the oldest pending row is due. A leader may take its batch
-    // first; the sweep then finds nothing due and the next deadline is set
-    // from whatever is pending by then.
-    const Clock::time_point due = oldest_locked() + max_delay;
-    if (flusher_cv_.wait_until(lock, due, [this] { return stop_; })) return;
+    // Group commit: take everything pending now. Rows that arrive while
+    // these batches execute coalesce into the next sweep's batches.
     ++flusher_sweeps_;
-    std::vector<std::pair<std::string, PendingBatch>> ready =
-        take_opened_by_locked(Clock::now() - max_delay);
+    std::vector<std::pair<std::string, PendingBatch>> ready = take_all_locked();
     lock.unlock();
     for (auto& [model, batch] : ready) execute(model, std::move(batch));
     lock.lock();

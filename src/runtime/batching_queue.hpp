@@ -6,13 +6,15 @@
 // each output row independently in a fixed order, a batched forward returns
 // bitwise-identical rows to B separate one-row forwards.
 //
-// Dispatch policy: the client thread whose submit() fills a batch to
-// `max_batch` executes that batch inline ("leader executes" — natural
-// backpressure, no handoff latency); a background flusher thread dispatches
-// a partially-filled batch once its first row has waited `max_delay_seconds`,
-// so no batch is stranded. The flusher sleeps while nothing is pending: an
-// idle queue costs no wakeups. flush() force-drains synchronously (used by
-// tests and by clients that need a latency bound tighter than max_delay).
+// Dispatch policy (work-conserving, in the style of group commit): the
+// client thread whose submit() fills a batch to `max_batch` executes that
+// batch inline ("leader executes" — natural backpressure, no handoff
+// latency). A background flusher thread sleeps until a row is pending, then
+// takes every pending batch at once, executes them and loops; rows that
+// arrive while it executes coalesce into its next batch, so batch size
+// follows load with no timer and no partial batch waits for a free flusher.
+// An idle queue costs no wakeups. flush() force-drains synchronously (used
+// by tests and by queues built without a flusher).
 //
 // Reliability contract (docs/RELIABILITY.md):
 //  * every future carries a Result<Tensor> — batch failures resolve futures
@@ -43,8 +45,9 @@
 namespace ahn::runtime {
 
 struct BatchingOptions {
-  std::size_t max_batch = 32;          ///< coalesce at most this many rows
-  double max_delay_seconds = 200e-6;   ///< longest wait of a partial batch (0 = no flusher)
+  std::size_t max_batch = 32;  ///< coalesce at most this many rows
+  bool flusher = true;         ///< dispatch partial batches on a background thread
+                               ///  (false = only max_batch and flush() dispatch)
 };
 
 /// Thread-safety: fully thread-safe — submit/flush may race from any
@@ -99,7 +102,7 @@ class BatchingQueue {
 
   [[nodiscard]] const BatchingOptions& options() const noexcept { return opts_; }
 
-  /// Times the flusher woke to dispatch due batches. Stays 0 while the
+  /// Times the flusher woke and took pending batches. Stays 0 while the
   /// queue is idle, however long: the flusher only wakes for pending rows.
   [[nodiscard]] std::size_t flusher_sweeps() const;
 
@@ -111,6 +114,7 @@ class BatchingQueue {
     std::vector<obs::SpanContext> contexts;     // submitter's span per row
     std::vector<double> enqueue_seconds;        // tracer-epoch enqueue time
     Clock::time_point opened{};                 // first row's enqueue time
+                                                // (serving.batch_wait_seconds)
 
     [[nodiscard]] bool empty() const noexcept { return rows.empty(); }
   };
@@ -118,12 +122,6 @@ class BatchingQueue {
   /// Takes ownership of one model's pending batch (caller executes it).
   [[nodiscard]] PendingBatch take_locked(const std::string& model);
   [[nodiscard]] std::vector<std::pair<std::string, PendingBatch>> take_all_locked();
-  /// Takes every batch whose first row was enqueued at or before `cutoff`.
-  [[nodiscard]] std::vector<std::pair<std::string, PendingBatch>> take_opened_by_locked(
-      Clock::time_point cutoff);
-  /// Enqueue time of the oldest pending row. Callers hold mu_ and have
-  /// checked pending_rows_ > 0.
-  [[nodiscard]] Clock::time_point oldest_locked() const;
   void execute(const std::string& model, PendingBatch batch);
   /// Completes every request in `batch` with `status` (no execution).
   void fail_batch(PendingBatch batch, const Status& status);
@@ -138,6 +136,7 @@ class BatchingQueue {
   ServingStats* stats_;
   obs::Tracer* tracer_;
   obs::Gauge* depth_gauge_ = nullptr;  ///< null when stats_ is null
+  obs::LatencyHistogram* wait_hist_ = nullptr;  ///< serving.batch_wait_seconds
 
   mutable std::mutex mu_;
   std::size_t pending_rows_ = 0;  ///< total rows across pending_ batches

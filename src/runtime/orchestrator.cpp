@@ -719,7 +719,7 @@ BatchingQueue& Orchestrator::batches() {
   std::call_once(batches_once_, [this] {
     BatchingOptions bopts;
     bopts.max_batch = opts_.max_batch;
-    bopts.max_delay_seconds = opts_.batch_delay_seconds;
+    bopts.flusher = opts_.batch_flusher;
     batches_ = std::make_unique<BatchingQueue>(
         [this](const std::string& model_name, const Tensor& batch,
                const std::vector<obs::SpanContext>& contexts)

@@ -100,7 +100,8 @@ struct OrchestratorOptions {
   std::size_t store_shards = ShardedTensorStore::kDefaultShards;
   std::size_t pool_threads = 4;        ///< run_model_async executor width
   std::size_t max_batch = 32;          ///< micro-batch coalescing bound
-  double batch_delay_seconds = 200e-6; ///< straggler flush period (<=0: off)
+  bool batch_flusher = true;           ///< flusher thread dispatches partial batches
+                                       ///  (false: call flush_batches() yourself)
   /// When true, each executed batch occupies the caller for its modeled
   /// device time (busy-wait on the §7.3 fetch+encode+load+run total). This
   /// makes wall-clock serving measurements honor the analytic accelerator

@@ -186,7 +186,7 @@ ClusterOptions small_cluster(std::size_t shards, std::size_t replication = 2) {
   opts.shards = shards;
   opts.replication = replication;
   opts.shard_opts.max_batch = 1;              // submits execute inline
-  opts.shard_opts.batch_delay_seconds = 0.0;  // no flusher thread
+  opts.shard_opts.batch_flusher = false;  // no flusher thread
   return opts;
 }
 

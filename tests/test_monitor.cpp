@@ -499,7 +499,7 @@ TEST(OrchestratorHealth, BreakerTransitionsDriveGaugeAndAlert) {
 TEST(OrchestratorHealth, QueueDepthGaugeTracksPendingRows) {
   runtime::OrchestratorOptions opts;
   opts.max_batch = 64;              // larger than we submit: rows stay queued
-  opts.batch_delay_seconds = 0.0;   // no flusher: deterministic depth
+  opts.batch_flusher = false;       // no flusher: deterministic depth
   runtime::Orchestrator orc(runtime::DeviceModel{}, opts);
   orc.set_model("m", tiny_model(2, 1));
 

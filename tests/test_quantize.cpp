@@ -571,7 +571,7 @@ std::shared_ptr<runtime::ServableModel> exact_model() {
 runtime::OrchestratorOptions inline_opts() {
   runtime::OrchestratorOptions opts;
   opts.max_batch = 1;
-  opts.batch_delay_seconds = 0.0;
+  opts.batch_flusher = false;
   return opts;
 }
 

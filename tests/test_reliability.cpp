@@ -183,7 +183,7 @@ Tensor exact_row(const Tensor&) { return Tensor({1, 2}, {42.0, 42.0}); }
 OrchestratorOptions inline_opts() {
   OrchestratorOptions opts;
   opts.max_batch = 1;               // every submit executes inline
-  opts.batch_delay_seconds = 0.0;   // no flusher thread
+  opts.batch_flusher = false;       // no flusher thread
   opts.retry.initial_backoff_seconds = 1e-6;
   return opts;
 }
@@ -193,7 +193,7 @@ OrchestratorOptions inline_opts() {
 TEST(Reliability, ExpiredDeadlineIsNotCoalesced) {
   OrchestratorOptions opts;
   opts.max_batch = 32;
-  opts.batch_delay_seconds = 0.0;
+  opts.batch_flusher = false;
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", rig_model());
 
@@ -377,7 +377,7 @@ TEST(Reliability, PendingRequestsAtTeardownGetShuttingDownStatus) {
   {
     OrchestratorOptions opts;
     opts.max_batch = 8;              // never fills
-    opts.batch_delay_seconds = 0.0;  // never swept
+    opts.batch_flusher = false;      // never swept
     Orchestrator orc(DeviceModel{}, opts);
     orc.set_model("m", rig_model());
     stranded = orc.run_model_batched("m", request_row());
@@ -389,7 +389,7 @@ TEST(Reliability, PendingRequestsAtTeardownGetShuttingDownStatus) {
 TEST(Reliability, DrainServesAcceptedWorkThenRejectsNew) {
   OrchestratorOptions opts;
   opts.max_batch = 8;
-  opts.batch_delay_seconds = 0.0;
+  opts.batch_flusher = false;
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", rig_model());
 
@@ -432,7 +432,7 @@ TEST(ThreadPool, WaitIdleBlocksUntilQueueDrains) {
 TEST(Reliability, NoHungFuturesUnderFaultsAndConcurrentShutdown) {
   OrchestratorOptions opts;
   opts.max_batch = 8;
-  opts.batch_delay_seconds = 100e-6;
+  opts.batch_flusher = true;
   opts.pool_threads = 4;
   opts.retry.max_attempts = 3;
   opts.retry.initial_backoff_seconds = 1e-6;

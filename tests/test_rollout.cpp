@@ -55,7 +55,7 @@ Tensor request_row(double base = 0.1) {
 OrchestratorOptions inline_opts() {
   OrchestratorOptions opts;
   opts.max_batch = 1;              // submits execute inline on the caller
-  opts.batch_delay_seconds = 0.0;  // no flusher thread
+  opts.batch_flusher = false;  // no flusher thread
   return opts;
 }
 

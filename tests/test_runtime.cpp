@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -453,7 +455,7 @@ TEST(Orchestrator, MixedStoreAndInferenceStress) {
 TEST(Batching, BitwiseIdenticalToPerRowInference) {
   OrchestratorOptions opts;
   opts.max_batch = 16;
-  opts.batch_delay_seconds = 0.0;  // flush manually for determinism
+  opts.batch_flusher = false;  // flush manually for determinism
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", tiny_model());
   Client client(orc);
@@ -493,7 +495,7 @@ TEST(Batching, BitwiseIdenticalToPerRowInference) {
 TEST(Batching, CoalescesUpToMaxBatch) {
   OrchestratorOptions opts;
   opts.max_batch = 16;
-  opts.batch_delay_seconds = 0.0;
+  opts.batch_flusher = false;
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", tiny_model());
 
@@ -518,7 +520,7 @@ TEST(Batching, CoalescesUpToMaxBatch) {
 TEST(Batching, ConcurrentSubmittersAllResolve) {
   OrchestratorOptions opts;
   opts.max_batch = 8;
-  opts.batch_delay_seconds = 100e-6;  // background flusher handles stragglers
+  opts.batch_flusher = true;  // background flusher handles stragglers
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", tiny_model());
 
@@ -545,7 +547,7 @@ TEST(Batching, ConcurrentSubmittersAllResolve) {
 
 TEST(Batching, UnknownModelResolvesTypedStatus) {
   OrchestratorOptions opts;
-  opts.batch_delay_seconds = 0.0;
+  opts.batch_flusher = false;
   Orchestrator orc(DeviceModel{}, opts);
   auto f = orc.run_model_batched("nope", Tensor({1, 4}, {1, 2, 3, 4}));
   orc.flush_batches();
@@ -556,7 +558,7 @@ TEST(Batching, ModelRemovedBeforeDispatchResolvesTypedStatus) {
   // The model exists at submit time but is gone at batch-execution time: the
   // failure must surface as a typed status through every affected future.
   OrchestratorOptions opts;
-  opts.batch_delay_seconds = 0.0;
+  opts.batch_flusher = false;
   Orchestrator orc(DeviceModel{}, opts);
   BatchingQueue queue(
       [](const std::string& name, const Tensor& batch,
@@ -566,7 +568,7 @@ TEST(Batching, ModelRemovedBeforeDispatchResolvesTypedStatus) {
             batch.rows(), Result<Tensor>(Status(StatusCode::kModelUnavailable,
                                                 "no model named '" + name + "'")));
       },
-      BatchingOptions{.max_batch = 8, .max_delay_seconds = 0.0});
+      BatchingOptions{.max_batch = 8, .flusher = false});
   auto f1 = queue.submit("gone", Tensor({1, 4}, {1, 2, 3, 4}));
   auto f2 = queue.submit("gone", Tensor({1, 4}, {5, 6, 7, 8}));
   queue.flush();
@@ -586,27 +588,187 @@ TEST(Batching, FlusherBatchesSeeATeamOfOne) {
         on_submitter = std::this_thread::get_id() == submitter;
         return BatchingQueue::RowResults(batch.rows(), Result<Tensor>(batch));
       },
-      BatchingOptions{.max_batch = 32, .max_delay_seconds = 100e-6});
+      BatchingOptions{.max_batch = 32, .flusher = true});
   ASSERT_TRUE(queue.submit("m", Tensor({1, 4}, {1, 2, 3, 4})).get().is_ok());
   EXPECT_FALSE(on_submitter.load());
   EXPECT_EQ(team.load(), 1);
 }
 
 // The flusher sleeps while nothing is pending: an idle queue sweeps zero
-// times over many max_delay periods, and one partial batch costs one sweep.
+// times however long it waits, and one partial batch costs one sweep.
 TEST(Batching, IdleFlusherDoesNotSweep) {
   BatchingQueue queue(
       [](const std::string&, const Tensor& batch, const std::vector<obs::SpanContext>&) {
         return BatchingQueue::RowResults(batch.rows(), Result<Tensor>(batch));
       },
-      BatchingOptions{.max_batch = 32, .max_delay_seconds = 100e-6});
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // 500 periods
+      BatchingOptions{.max_batch = 32, .flusher = true});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(queue.flusher_sweeps(), 0u);
 
   ASSERT_TRUE(queue.submit("m", Tensor({1, 4}, {1, 2, 3, 4})).get().is_ok());
   EXPECT_EQ(queue.flusher_sweeps(), 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(queue.flusher_sweeps(), 1u);  // idle again
+}
+
+// ----------------------------------------------- Work-conserving dispatch
+
+// Upper bound on any wait below. It only turns a hang into a failure; no
+// test asserts on how fast a batch dispatches.
+constexpr auto kHangGuard = std::chrono::seconds(30);
+
+// A run_batch that records each batch's size and executing thread, and
+// holds the first `held` batches inside run_batch until release(index), so
+// a test decides exactly when the flusher or a leader is busy.
+class GatedBatches {
+ public:
+  explicit GatedBatches(std::size_t held) : released_(held, false) {}
+
+  BatchingQueue::BatchFn fn() {
+    return [this](const std::string&, const Tensor& batch,
+                  const std::vector<obs::SpanContext>&) {
+      std::unique_lock<std::mutex> lock(mu_);
+      const std::size_t index = sizes_.size();
+      sizes_.push_back(batch.rows());
+      threads_.push_back(std::this_thread::get_id());
+      cv_.notify_all();
+      (void)cv_.wait_for(lock, kHangGuard, [&] {
+        return index >= released_.size() || released_[index];
+      });
+      return BatchingQueue::RowResults(batch.rows(), Result<Tensor>(batch));
+    };
+  }
+
+  /// True once `n` batches have entered run_batch.
+  bool wait_entered(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kHangGuard, [&] { return sizes_.size() >= n; });
+  }
+
+  void release(std::size_t index) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      released_[index] = true;
+    }
+    cv_.notify_all();
+  }
+
+  std::vector<std::size_t> sizes() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return sizes_;
+  }
+
+  std::thread::id thread(std::size_t index) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return threads_.at(index);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::size_t> sizes_;
+  std::vector<std::thread::id> threads_;
+  std::vector<bool> released_;
+};
+
+Tensor numbered_row(double id) { return Tensor({1, 4}, {id, id, id, id}); }
+
+// With nothing else pending, one row is a batch: the flusher dispatches it
+// at once, without flush() and without max_batch.
+TEST(Batching, LoneRowResolvesWithoutFlushOrFullBatch) {
+  GatedBatches gate(0);
+  BatchingQueue queue(gate.fn(), BatchingOptions{.max_batch = 32});
+  auto f = queue.submit("m", numbered_row(1));
+  ASSERT_EQ(f.wait_for(kHangGuard), std::future_status::ready);
+  EXPECT_TRUE(f.get().is_ok());
+  EXPECT_EQ(gate.sizes(), std::vector<std::size_t>{1});
+  EXPECT_EQ(queue.flusher_sweeps(), 1u);
+}
+
+// Group commit: rows B, C and D arrive while the flusher is inside row A's
+// batch, and its next sweep takes them as exactly one batch of 3.
+TEST(Batching, RowsArrivingDuringAFlushCoalesceIntoOneBatch) {
+  GatedBatches gate(1);
+  BatchingQueue queue(gate.fn(), BatchingOptions{.max_batch = 32});
+  auto a = queue.submit("m", numbered_row(0));
+  ASSERT_TRUE(gate.wait_entered(1));  // the flusher is held inside A's batch
+
+  std::vector<std::future<Result<Tensor>>> later;
+  for (int id = 1; id <= 3; ++id) later.push_back(queue.submit("m", numbered_row(id)));
+  EXPECT_EQ(queue.flusher_sweeps(), 1u);
+  gate.release(0);
+
+  for (auto& f : later) {
+    ASSERT_EQ(f.wait_for(kHangGuard), std::future_status::ready);
+    Result<Tensor> r = f.get();
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    const Tensor batch = r.value();
+    ASSERT_EQ(batch.rows(), 3u);  // B, C, D in submit order
+    EXPECT_EQ(batch.at(0, 0), 1.0);
+    EXPECT_EQ(batch.at(2, 0), 3.0);
+  }
+  EXPECT_TRUE(a.get().is_ok());
+  EXPECT_EQ(gate.sizes(), (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(gate.thread(0), gate.thread(1));
+  EXPECT_EQ(queue.flusher_sweeps(), 2u);
+}
+
+// "Leader executes" is unchanged at max_batch, and a row that arrives while
+// the leader is still inside its full batch is dispatched by the flusher,
+// not left for the leader.
+TEST(Batching, RowsArrivingWhileALeaderExecutesGoToTheFlusher) {
+  GatedBatches gate(2);  // hold the flusher's first batch and the leader's
+  BatchingQueue queue(gate.fn(), BatchingOptions{.max_batch = 2});
+  auto a = queue.submit("m", numbered_row(0));
+  ASSERT_TRUE(gate.wait_entered(1));  // batch 0: the flusher, held
+
+  auto b = queue.submit("m", numbered_row(1));
+  auto leader = std::async(std::launch::async,
+                           [&queue] { return queue.submit("m", numbered_row(2)); });
+  ASSERT_TRUE(gate.wait_entered(2));  // batch 1: {B, C} on the leader, held
+
+  auto d = queue.submit("m", numbered_row(3));
+  gate.release(0);
+  ASSERT_EQ(d.wait_for(kHangGuard), std::future_status::ready);
+  EXPECT_TRUE(d.get().is_ok());
+
+  gate.release(1);
+  ASSERT_EQ(leader.wait_for(kHangGuard), std::future_status::ready);
+  EXPECT_TRUE(leader.get().get().is_ok());
+  EXPECT_TRUE(b.get().is_ok());
+  EXPECT_TRUE(a.get().is_ok());
+
+  EXPECT_EQ(gate.sizes(), (std::vector<std::size_t>{1, 2, 1}));
+  EXPECT_EQ(gate.thread(2), gate.thread(0));  // D ran on the flusher
+  EXPECT_NE(gate.thread(1), gate.thread(0));  // the leader ran its own batch
+  EXPECT_NE(gate.thread(1), std::this_thread::get_id());
+  EXPECT_EQ(queue.flusher_sweeps(), 2u);
+}
+
+// serving.batch_wait_seconds takes one sample per dispatched batch, whoever
+// dispatches it: leaders, flush() and the flusher.
+TEST(Batching, BatchWaitHistogramCountsEveryBatch) {
+  OrchestratorOptions opts;
+  opts.max_batch = 16;
+  Orchestrator orc(DeviceModel{}, opts);
+  orc.set_model("m", tiny_model());
+
+  std::vector<std::future<Result<Tensor>>> futures;
+  for (std::size_t i = 0; i < 40; ++i) {
+    futures.push_back(orc.run_model_batched("m", Tensor({1, 4}, {1, 2, 3, 4})));
+  }
+  orc.flush_batches();
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(kHangGuard), std::future_status::ready);
+    EXPECT_TRUE(f.get().is_ok());
+  }
+
+  const obs::RegistrySnapshot snap = orc.stats().metrics().snapshot();
+  ASSERT_TRUE(snap.histograms.contains("serving.batch_wait_seconds"));
+  const obs::HistogramSnapshot& wait = snap.histograms.at("serving.batch_wait_seconds");
+  EXPECT_GE(orc.stats().batches_executed(), 3u);
+  EXPECT_EQ(wait.count, orc.stats().batches_executed());
+  EXPECT_GE(wait.min, 0.0);
 }
 
 // ------------------------------------------------------------- ServingStats
