@@ -151,7 +151,12 @@ int main() {
   std::cout << table.render() << "\n";
 
   std::cout << "faults injected:   " << snap.faults_injected;
-  for (const auto& [kind, n] : snap.fault_kinds) std::cout << "  " << kind << "=" << n;
+  const std::string kind_prefix = "serving.fault.";
+  for (const auto& [name, n] : orc.stats().metrics().snapshot().counters) {
+    if (name.starts_with(kind_prefix)) {
+      std::cout << "  " << name.substr(kind_prefix.size()) << "=" << n;
+    }
+  }
   std::cout << "\nretries:           " << snap.retries
             << "\nQoI fallbacks:     " << snap.qoi_fallbacks
             << "\nthroughput ratio:  " << TextTable::num(slowdown, 2)

@@ -1,8 +1,7 @@
 // Microbenchmarks for §3.1's tooling costs (google-benchmark):
 //   * instrumentation overhead — traced vs plain execution of a kernel,
 //   * trace-size reduction from loop compression,
-//   * DDDG construction, serial vs parallel (the paper parallelizes DDDG
-//     building to keep trace analysis user-friendly).
+//   * DDDG construction (one in-order pass over the trace).
 
 #include <benchmark/benchmark.h>
 
@@ -91,24 +90,13 @@ TraceRecorder divergent_trace(std::size_t n) {
 void BM_DddgBuildSerial(benchmark::State& state) {
   const TraceRecorder rec = divergent_trace(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const Dddg g = Dddg::build(rec, 1);
+    const Dddg g = Dddg::build(rec);
     benchmark::DoNotOptimize(g.edge_count());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rec.instructions().size()));
 }
 BENCHMARK(BM_DddgBuildSerial)->Arg(2000)->Arg(20000);
-
-void BM_DddgBuildParallel(benchmark::State& state) {
-  const TraceRecorder rec = divergent_trace(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    const Dddg g = Dddg::build(rec, 4);
-    benchmark::DoNotOptimize(g.edge_count());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(rec.instructions().size()));
-}
-BENCHMARK(BM_DddgBuildParallel)->Arg(2000)->Arg(20000);
 
 void BM_FeatureIdentification(benchmark::State& state) {
   const TraceRecorder rec = divergent_trace(static_cast<std::size_t>(state.range(0)));

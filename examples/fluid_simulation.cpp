@@ -45,10 +45,18 @@ int main(int argc, char** argv) {
   servable->surrogate = result.model.surrogate;
   orchestrator.set_model("AI-CFD-net", servable);
   runtime::Client client(orchestrator);
+  // Modeled online seconds served so far in one §7.3 phase ("fetch",
+  // "encode", "load", "run" or "total"), read from the orchestrator's stats.
+  const auto online_seconds_in = [&orchestrator](const std::string& phase) {
+    return orchestrator.stats()
+        .metrics()
+        .snapshot()
+        .histograms.at("serving.latency." + phase)
+        .sum;
+  };
 
   // Simulation loop over the held-out problems ("timesteps").
   TextTable table({"step", "QoI err", "accepted", "exact us", "surrogate us"});
-  PhaseAccumulator phases;
   double exact_total = 0.0, surrogate_total = 0.0;
   std::size_t accepted = 0;
   const std::size_t steps = std::min<std::size_t>(10, result.eval_problems.size());
@@ -63,12 +71,12 @@ int main(int argc, char** argv) {
     Tensor in({1, feat.size()});
     std::copy(feat.begin(), feat.end(), in.row(0).begin());
     client.put_tensor("in_key", std::move(in));
-    const double before = phases.total();
-    if (!client.run_model("AI-CFD-net", "in_key", "out_key", &phases).is_ok()) {
+    const double before = online_seconds_in("total");
+    if (!client.run_model("AI-CFD-net", "in_key", "out_key").is_ok()) {
       std::cerr << "surrogate serving failed\n";
       return 1;
     }
-    const double online_seconds = phases.total() - before;
+    const double online_seconds = online_seconds_in("total") - before;
     const Tensor out = client.unpack_tensor("out_key");
     const std::vector<double> pred(out.row(0).begin(), out.row(0).end());
 
@@ -86,9 +94,13 @@ int main(int argc, char** argv) {
   std::cout << "accepted " << accepted << "/" << steps
             << " steps; modeled speedup over the simulation: "
             << TextTable::num(exact_total / surrogate_total, 2) << "x\n";
-  std::cout << "online phase split: fetch " << TextTable::num(100 * phases.fraction("fetch"), 1)
-            << "% / encode " << TextTable::num(100 * phases.fraction("encode"), 1)
-            << "% / load " << TextTable::num(100 * phases.fraction("load"), 1)
-            << "% / run " << TextTable::num(100 * phases.fraction("run"), 1) << "%\n";
+  const double online_total = online_seconds_in("total");
+  const auto percent = [&](const std::string& phase) {
+    return TextTable::num(
+        online_total > 0.0 ? 100 * online_seconds_in(phase) / online_total : 0.0, 1);
+  };
+  std::cout << "online phase split: fetch " << percent("fetch") << "% / encode "
+            << percent("encode") << "% / load " << percent("load") << "% / run "
+            << percent("run") << "%\n";
   return 0;
 }

@@ -41,7 +41,7 @@ inline OpCounts operator+(OpCounts a, const OpCounts& b) noexcept { return a += 
 /// Global accumulation point; kernels that want their cost modeled call
 /// FlopCounter::add. Scoped regions can snapshot/diff. Counters are relaxed
 /// atomics: the serving runtime runs inference kernels from many client and
-/// pool threads concurrently, and each field is an independent tally.
+/// flusher threads concurrently, and each field is an independent tally.
 class FlopCounter {
  public:
   static FlopCounter& instance() noexcept {

@@ -1,28 +1,22 @@
 #pragma once
 // Thread-safe serving metrics for the §6.3 deployment path: request and
-// batch counters, the batch-size histogram produced by the micro-batching
-// queue, the §7.1 QoI-fallback tally, per-phase latency percentiles over
-// the §7.3 online breakdown (fetch / encode / load / run), and the
-// reliability-layer counters (injected faults, retries, deadline misses,
-// shutdown rejections, circuit-breaker fallbacks and state transitions —
-// docs/RELIABILITY.md).
+// batch counters, the executed batch sizes, the §7.1 QoI-fallback tally,
+// per-phase latency percentiles over the §7.3 online breakdown (fetch /
+// encode / load / run), and the reliability-layer counters (injected faults
+// by kind, retries, deadline misses, shutdown rejections, circuit-breaker
+// fallbacks and state transitions — docs/RELIABILITY.md).
 //
-// Built on the obs metrics registry (docs/OBSERVABILITY.md): scalar tallies
-// are lock-free obs::Counters and per-phase latencies land in fixed-bucket
-// obs::LatencyHistograms, so memory stays constant under sustained serving
-// and a percentile read never stalls a recording thread. The raw per-phase
-// sample vectors of the original implementation survive only behind the
-// opt-in set_exact_samples(true) debug mode.
+// A view over one obs metrics registry (docs/OBSERVABILITY.md): every fact
+// is recorded once, as a lock-free obs::Counter or a fixed-bucket
+// obs::LatencyHistogram, so memory stays constant under sustained serving,
+// no recording thread ever blocks, and the exporters see every fact with
+// no extra code.
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/stats.hpp"
 #include "obs/metrics.hpp"
 
 namespace ahn {
@@ -48,9 +42,6 @@ struct ServingStatsSnapshot {
   std::uint64_t shutdown_rejections = 0;   ///< requests refused while draining
   std::uint64_t breaker_fallbacks = 0;     ///< requests routed to original code
                                            ///  by an open/half-open breaker
-  std::map<std::string, std::uint64_t> fault_kinds;  ///< kind -> firings
-  std::map<std::string, std::uint64_t> breaker_transitions;  ///< "a->b" -> count
-  std::map<std::size_t, std::uint64_t> batch_histogram;  ///< batch size -> count
 
   [[nodiscard]] double mean_batch_size() const noexcept {
     return batches_executed > 0
@@ -61,12 +52,10 @@ struct ServingStatsSnapshot {
 };
 
 /// Serving-side metrics collector. Every member is safe to call from any
-/// client, pool, or flusher thread. Recording is lock-free for the hot path
-/// (request counters + latency histograms); only the keyed maps (fault
-/// kinds, breaker transitions, batch sizes) and the optional exact-sample
-/// vectors take a mutex. Each counter/histogram read is untorn, but a
-/// snapshot taken while recorders run may straddle concurrent updates by a
-/// request or two — the price of never blocking the serving path.
+/// client or flusher thread, and every record is lock-free. Each
+/// counter/histogram read is untorn, but a snapshot taken while recorders
+/// run may straddle concurrent updates by a request or two — the price of
+/// never blocking the serving path.
 class ServingStats {
  public:
   ServingStats()
@@ -78,6 +67,7 @@ class ServingStats {
         deadline_misses_(registry_.counter("serving.deadline_misses")),
         shutdown_rejections_(registry_.counter("serving.shutdown_rejections")),
         breaker_fallbacks_(registry_.counter("serving.breaker_fallbacks")),
+        batch_rows_(registry_.histogram("serving.batch_rows")),
         fetch_hist_(registry_.histogram("serving.latency.fetch")),
         encode_hist_(registry_.histogram("serving.latency.encode")),
         load_hist_(registry_.histogram("serving.latency.load")),
@@ -94,16 +84,6 @@ class ServingStats {
     return registry_;
   }
 
-  /// Debug mode: additionally keep every raw per-phase sample (unbounded
-  /// memory!) so latency_percentile is exact instead of bucket-resolution.
-  /// Off by default; intended for tests and short diagnostic runs.
-  void set_exact_samples(bool on) {
-    exact_samples_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool exact_samples() const noexcept {
-    return exact_samples_.load(std::memory_order_relaxed);
-  }
-
   /// Records one served request and its per-phase modeled latency. A
   /// nonzero `trace_id` stamps an exemplar on each histogram bucket the
   /// request lands in, linking scraped latency buckets to captured traces.
@@ -114,21 +94,15 @@ class ServingStats {
     load_hist_.record(phases.load, trace_id);
     run_hist_.record(phases.run, trace_id);
     total_hist_.record(phases.total(), trace_id);
-    if (exact_samples()) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      fetch_.push_back(phases.fetch);
-      encode_.push_back(phases.encode);
-      load_.push_back(phases.load);
-      run_.push_back(phases.run);
-      total_.push_back(phases.total());
-    }
   }
 
-  /// Records one executed batch of `size` coalesced requests (size >= 1).
+  /// Records one executed batch of `size` coalesced requests (size >= 1)
+  /// into the `serving.batch_rows` histogram. Its count, sum, min and max
+  /// are exact; its log-spaced buckets are ~12% wide, so every size up to 9
+  /// gets a bucket of its own.
   void record_batch(std::size_t size) {
     batches_.increment();
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++histogram_[size];
+    batch_rows_.record(static_cast<double>(size));
   }
 
   /// Records a §7.1 QoI miss that re-ran the original code region.
@@ -139,8 +113,6 @@ class ServingStats {
   void record_fault_injected(const std::string& kind) {
     faults_.increment();
     registry_.counter("serving.fault." + kind).increment();
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++fault_kinds_[kind];
   }
 
   /// Records one retry attempt after a transient fault.
@@ -160,11 +132,8 @@ class ServingStats {
   /// structured log line; when the transition happens inside a serving span
   /// (batch execution, a client's admit), the line carries that trace id.
   void record_breaker_transition(const std::string& from, const std::string& to) {
-    const std::string key = from + "->" + to;
-    registry_.counter("serving.breaker_transition." + key).increment();
-    AHN_INFO_C("breaker", "transition " << key);
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++breaker_transitions_[key];
+    registry_.counter(transition_counter(from, to)).increment();
+    AHN_INFO_C("breaker", "transition " << from << "->" << to);
   }
 
   [[nodiscard]] std::uint64_t requests_served() const { return requests_.value(); }
@@ -181,42 +150,23 @@ class ServingStats {
   [[nodiscard]] std::uint64_t breaker_fallbacks() const {
     return breaker_fallbacks_.value();
   }
-  /// Count of `from`->`to` breaker transitions recorded so far.
+  /// Count of `from`->`to` breaker transitions recorded so far. Read
+  /// through a registry snapshot, so asking about a pair never recorded
+  /// registers nothing and reads 0.
   [[nodiscard]] std::uint64_t breaker_transitions(const std::string& from,
                                                   const std::string& to) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = breaker_transitions_.find(from + "->" + to);
-    return it == breaker_transitions_.end() ? 0 : it->second;
+    const obs::RegistrySnapshot snap = registry_.snapshot();
+    const auto it = snap.counters.find(transition_counter(from, to));
+    return it == snap.counters.end() ? 0 : it->second;
   }
 
   /// Latency percentile (p in [0, 100]) for one phase: "fetch", "encode",
-  /// "load", "run" or "total". Returns 0 when no requests were recorded.
-  /// Reads the fixed-bucket histogram (bucket-resolution, lock-free with
-  /// respect to recorders); in exact-samples debug mode it copies the raw
-  /// samples out under the lock and sorts the copy outside it, so even the
-  /// exact path never holds the collector mutex through an O(n log n) sort.
+  /// "load", "run" or "total", at bucket resolution. Returns 0 when no
+  /// requests were recorded.
   [[nodiscard]] double latency_percentile(const std::string& phase, double p) const {
-    if (exact_samples()) {
-      std::vector<double> samples;
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        const std::vector<double>* exact = exact_phase_samples(phase);
-        AHN_CHECK_MSG(exact != nullptr, "unknown serving phase '" << phase << "'");
-        samples = *exact;  // copy out; sort happens outside the lock
-      }
-      return samples.empty() ? 0.0 : percentile(std::move(samples), p);
-    }
     const obs::LatencyHistogram* hist = phase_histogram(phase);
     AHN_CHECK_MSG(hist != nullptr, "unknown serving phase '" << phase << "'");
     return hist->percentile(p);
-  }
-
-  /// The live histogram behind one phase (see latency_percentile for names).
-  [[nodiscard]] const obs::LatencyHistogram& latency_histogram(
-      const std::string& phase) const {
-    const obs::LatencyHistogram* hist = phase_histogram(phase);
-    AHN_CHECK_MSG(hist != nullptr, "unknown serving phase '" << phase << "'");
-    return *hist;
   }
 
   [[nodiscard]] ServingStatsSnapshot snapshot() const {
@@ -229,27 +179,17 @@ class ServingStats {
     s.deadline_misses = deadline_misses_.value();
     s.shutdown_rejections = shutdown_rejections_.value();
     s.breaker_fallbacks = breaker_fallbacks_.value();
-    const std::lock_guard<std::mutex> lock(mu_);
-    s.fault_kinds = fault_kinds_;
-    s.breaker_transitions = breaker_transitions_;
-    s.batch_histogram = histogram_;
     return s;
   }
 
-  void reset() {
-    registry_.reset();
-    const std::lock_guard<std::mutex> lock(mu_);
-    fault_kinds_.clear();
-    breaker_transitions_.clear();
-    histogram_.clear();
-    fetch_.clear();
-    encode_.clear();
-    load_.clear();
-    run_.clear();
-    total_.clear();
-  }
+  void reset() { registry_.reset(); }
 
  private:
+  [[nodiscard]] static std::string transition_counter(const std::string& from,
+                                                      const std::string& to) {
+    return "serving.breaker_transition." + from + "->" + to;
+  }
+
   [[nodiscard]] const obs::LatencyHistogram* phase_histogram(
       const std::string& phase) const {
     if (phase == "fetch") return &fetch_hist_;
@@ -257,16 +197,6 @@ class ServingStats {
     if (phase == "load") return &load_hist_;
     if (phase == "run") return &run_hist_;
     if (phase == "total") return &total_hist_;
-    return nullptr;
-  }
-
-  [[nodiscard]] const std::vector<double>* exact_phase_samples(
-      const std::string& phase) const {
-    if (phase == "fetch") return &fetch_;
-    if (phase == "encode") return &encode_;
-    if (phase == "load") return &load_;
-    if (phase == "run") return &run_;
-    if (phase == "total") return &total_;
     return nullptr;
   }
 
@@ -279,19 +209,12 @@ class ServingStats {
   obs::Counter& deadline_misses_;
   obs::Counter& shutdown_rejections_;
   obs::Counter& breaker_fallbacks_;
+  obs::LatencyHistogram& batch_rows_;
   obs::LatencyHistogram& fetch_hist_;
   obs::LatencyHistogram& encode_hist_;
   obs::LatencyHistogram& load_hist_;
   obs::LatencyHistogram& run_hist_;
   obs::LatencyHistogram& total_hist_;
-
-  std::atomic<bool> exact_samples_{false};
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::uint64_t> fault_kinds_;
-  std::map<std::string, std::uint64_t> breaker_transitions_;
-  std::map<std::size_t, std::uint64_t> histogram_;
-  std::vector<double> fetch_, encode_, load_, run_, total_;  ///< exact mode only
 };
 
 }  // namespace ahn

@@ -1,9 +1,9 @@
 #pragma once
 // Typed error taxonomy for the serving runtime. The client API boundary
-// (run_model / run_model_async / run_model_batched) reports failures as
-// Status / Result<T> values instead of raw ahn::Error exceptions, so callers
-// can branch on *why* a request failed (deadline, shutdown, QoI rejection,
-// transient device fault, ...) without string-matching exception text.
+// (run_model / run_model_batched) reports failures as Status / Result<T>
+// values instead of raw ahn::Error exceptions, so callers can branch on
+// *why* a request failed (deadline, shutdown, QoI rejection, transient
+// device fault, ...) without string-matching exception text.
 // AHN_CHECK remains the contract-violation path (programmer errors still
 // throw); Status covers expected runtime failure modes.
 

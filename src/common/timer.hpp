@@ -1,13 +1,9 @@
 #pragma once
-// Wall-clock timing utilities. All framework phase accounting (offline trace
-// generation, BO search, autoencoder training; online fetch/encode/load/run)
-// is measured through these.
+// Wall-clock stopwatch. Every measured duration in the framework (offline
+// trace generation, BO search, autoencoder training, spans, benches) is
+// read through it.
 
 #include <chrono>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace ahn {
 
@@ -28,99 +24,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named phase durations; used for the paper's overhead analysis
-/// (section 7.3) where online time is split into fetch / encode / load / run.
-///
-/// Internally synchronized: one accumulator may be passed by pointer into
-/// Orchestrator::run_model and shared across concurrent run_model_async
-/// requests — every member may be called from any thread. Reads return
-/// values (entries() copies), never references into guarded state.
-class PhaseAccumulator {
- public:
-  PhaseAccumulator() = default;
-  PhaseAccumulator(const PhaseAccumulator& other) { *this = other; }
-  PhaseAccumulator& operator=(const PhaseAccumulator& other) {
-    if (this != &other) {
-      std::scoped_lock lock(mu_, other.mu_);
-      entries_ = other.entries_;
-      index_ = other.index_;
-    }
-    return *this;
-  }
-
-  void add(const std::string& phase, double seconds) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = index_.try_emplace(phase, entries_.size());
-    if (inserted) entries_.push_back({phase, 0.0, 0});
-    entries_[it->second].seconds += seconds;
-    entries_[it->second].count += 1;
-  }
-
-  [[nodiscard]] double total() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return total_locked();
-  }
-
-  [[nodiscard]] double seconds(const std::string& phase) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(phase);
-    return it == index_.end() ? 0.0 : entries_[it->second].seconds;
-  }
-
-  /// Fraction of the accumulated total spent in `phase` (0 if nothing timed).
-  [[nodiscard]] double fraction(const std::string& phase) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const double t = total_locked();
-    if (t <= 0.0) return 0.0;
-    auto it = index_.find(phase);
-    return it == index_.end() ? 0.0 : entries_[it->second].seconds / t;
-  }
-
-  struct Entry {
-    std::string phase;
-    double seconds = 0.0;
-    std::size_t count = 0;
-  };
-
-  /// Consistent copy of the accumulated entries (in first-seen order).
-  [[nodiscard]] std::vector<Entry> entries() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return entries_;
-  }
-
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-    index_.clear();
-  }
-
- private:
-  [[nodiscard]] double total_locked() const noexcept {
-    double t = 0.0;
-    for (const auto& e : entries_) t += e.seconds;
-    return t;
-  }
-
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;
-  std::unordered_map<std::string, std::size_t> index_;
-};
-
-/// RAII helper: adds the scope's duration to an accumulator on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseAccumulator& acc, std::string phase)
-      : acc_(acc), phase_(std::move(phase)) {}
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-  ~ScopedPhase() { acc_.add(phase_, timer_.seconds()); }
-
- private:
-  PhaseAccumulator& acc_;
-  std::string phase_;
-  Timer timer_;
 };
 
 }  // namespace ahn

@@ -162,6 +162,7 @@ class HelpRegistry {
         {"serving.shutdown_rejections", "Requests refused with kShuttingDown."},
         {"serving.breaker_fallbacks", "Requests routed to original code by an open breaker."},
         {"serving.batch_queue_depth", "Rows currently pending in the batching queue."},
+        {"serving.batch_rows", "Rows per executed batch (a count, not seconds)."},
         {"serving.batch_wait_seconds",
          "Measured wait of each dispatched micro-batch, first row's enqueue to dispatch."},
         {"serving.latency.fetch", "Modeled per-request fetch-phase latency (seconds)."},

@@ -351,8 +351,8 @@ class ModelMonitor {
   /// Lock-free unless this row is sampled.
   void record_request(std::span<const double> row, bool qoi_ok);
 
-  /// One request row with no QoI outcome (the sync/async keyed-store path,
-  /// which runs no per-row QoI check). Only feeds the drift sketch.
+  /// One request row with no QoI outcome (the sync keyed-store path, which
+  /// runs no per-row QoI check). Only feeds the drift sketch.
   void observe_input(std::span<const double> row);
 
   /// The orchestrator's breaker hook: raises a `breaker_open` alert.

@@ -3,8 +3,9 @@
 // (built on ahn::Timer) that records its wall-clock duration, trace id,
 // span id and parent span id into a Tracer when it ends. Spans nest through
 // a thread-local current-span context, and the context can be captured and
-// handed to another thread (SpanContext) so async work — a pool task, a
-// coalesced batch — stays attached to the trace that submitted it.
+// handed to another thread (SpanContext) so work run elsewhere — a
+// coalesced batch on the flusher — stays attached to the trace that
+// submitted it.
 //
 // The Tracer is bounded by construction: a fixed-capacity ring of recent
 // span records plus per-name aggregates (count / total / min / max). It

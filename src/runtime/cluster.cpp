@@ -353,8 +353,7 @@ std::optional<RolloutSnapshot> ClusterOrchestrator::rollout_progress(
 
 Status ClusterOrchestrator::run_model(const std::string& name,
                                       const std::string& in_key,
-                                      const std::string& out_key,
-                                      PhaseAccumulator* phases) {
+                                      const std::string& out_key) {
   // Cluster head sampling: every Nth request opens the root span of a new
   // trace (a caller already inside a trace always joins it); the shard's
   // own serve.* spans then nest under it on this thread.
@@ -372,7 +371,7 @@ Status ClusterOrchestrator::run_model(const std::string& name,
     if (!primary_seen && s != owners.front()) failovers_.increment();
     primary_seen = true;
     const std::shared_ptr<Orchestrator> orc = shard_ptr(s);
-    const Status st = orc->run_model(name, in_key, out_key, phases);
+    const Status st = orc->run_model(name, in_key, out_key);
     if (st.is_ok()) {
       // Re-home the result to out_key's replica set; the executing shard
       // keeps its local copy only if it happens to be an owner.

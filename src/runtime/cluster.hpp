@@ -194,8 +194,7 @@ class ClusterOrchestrator : public RolloutHost {
   /// re-homes the result to `out_key`'s replica set. Fails over to the next
   /// owner on kNotFound / kShuttingDown.
   [[nodiscard]] Status run_model(const std::string& name, const std::string& in_key,
-                                 const std::string& out_key,
-                                 PhaseAccumulator* phases = nullptr);
+                                 const std::string& out_key);
 
   /// Micro-batched single-row inference, spread round-robin over alive
   /// shards (maximum aggregate throughput; no key affinity).

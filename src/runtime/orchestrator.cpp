@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "runtime/deployment.hpp"
 
 namespace ahn::runtime {
@@ -484,19 +485,12 @@ void Orchestrator::record_requests(const RequestPhases& batch_phases, std::size_
 }
 
 Status Orchestrator::run_model(const std::string& name, const std::string& in_key,
-                               const std::string& out_key, PhaseAccumulator* phases) {
+                               const std::string& out_key) {
   if (draining()) {
     stats_.record_shutdown_rejection();
     return Status(StatusCode::kShuttingDown, "orchestrator draining");
   }
   const obs::Span span(*tracer_, "serve.run_model");
-  return run_model_admitted(name, in_key, out_key, phases);
-}
-
-Status Orchestrator::run_model_admitted(const std::string& name,
-                                        const std::string& in_key,
-                                        const std::string& out_key,
-                                        PhaseAccumulator* phases) {
   const std::shared_ptr<const ServableModel> m = find_model(name);
   if (m == nullptr) {
     return Status(StatusCode::kModelUnavailable, "no model named '" + name + "'");
@@ -511,12 +505,6 @@ Status Orchestrator::run_model_admitted(const std::string& name,
   Result<Tensor> out = execute_with_retry(*m, *input, &batch_phases);
   if (!out.is_ok()) return out.status();
 
-  if (phases != nullptr) {
-    phases->add("fetch", batch_phases.fetch);
-    phases->add("encode", batch_phases.encode);
-    phases->add("load", batch_phases.load);
-    phases->add("run", batch_phases.run);
-  }
   stats_.record_batch(rows);
   record_requests(batch_phases, rows);
   if (opts_.monitor.enabled && rows > 0) {
@@ -527,26 +515,6 @@ Status Orchestrator::run_model_admitted(const std::string& name,
   }
   put_tensor(out_key, std::move(out.value()));
   return Status::ok();
-}
-
-std::future<Status> Orchestrator::run_model_async(const std::string& name,
-                                                  const std::string& in_key,
-                                                  const std::string& out_key) {
-  if (draining()) {
-    stats_.record_shutdown_rejection();
-    std::promise<Status> p;
-    p.set_value(Status(StatusCode::kShuttingDown, "orchestrator draining"));
-    return p.get_future();
-  }
-  // The draining check above is the admission decision; once accepted, the
-  // task runs to completion even if a drain starts before the pool gets to
-  // it (the drain contract: every accepted request is served). The caller's
-  // span context rides along so the pool-side span stays on its trace.
-  const obs::SpanContext parent = obs::Tracer::current();
-  return pool().submit([this, name, in_key, out_key, parent] {
-    const obs::Span span(*tracer_, "serve.run_model_async", parent);
-    return run_model_admitted(name, in_key, out_key, /*phases=*/nullptr);
-  });
 }
 
 std::future<Result<Tensor>> Orchestrator::run_model_batched(const std::string& name,
@@ -701,18 +669,11 @@ void Orchestrator::flush_batches() {
 void Orchestrator::drain() {
   draining_.store(true, std::memory_order_release);
   // Everything accepted before the flag flipped still gets served: pending
-  // micro-batches execute, in-flight async work finishes. Requests arriving
-  // after the flag resolve immediately with kShuttingDown. Going through the
-  // call_once accessors (not the raw pointers) synchronizes with clients
-  // that are lazily creating the executors concurrently with shutdown.
+  // micro-batches execute. Requests arriving after the flag resolve
+  // immediately with kShuttingDown. Going through the call_once accessor
+  // (not the raw pointer) synchronizes with clients that are lazily
+  // creating the queue concurrently with shutdown.
   batches().drain();
-  pool().wait_idle();
-}
-
-ThreadPool& Orchestrator::pool() {
-  std::call_once(pool_once_,
-                 [this] { pool_ = std::make_unique<ThreadPool>(opts_.pool_threads); });
-  return *pool_;
 }
 
 BatchingQueue& Orchestrator::batches() {

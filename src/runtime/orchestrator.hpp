@@ -10,7 +10,6 @@
 //    different keys from many client threads do not serialize;
 //  * the model registry is read-mostly (shared_mutex: concurrent lookups,
 //    exclusive registration);
-//  * run_model_async dispatches inference to a lazily-created thread pool;
 //  * run_model_batched coalesces single-row requests per model into one
 //    batched forward (BatchingQueue), amortizing the fetch/encode/load
 //    phases of the §7.3 cost breakdown across the batch;
@@ -45,7 +44,6 @@
 #include "common/rng.hpp"
 #include "common/serving_stats.hpp"
 #include "common/status.hpp"
-#include "common/timer.hpp"
 #include "nn/train.hpp"
 #include "obs/monitor.hpp"
 #include "obs/slo.hpp"
@@ -57,7 +55,6 @@
 #include "runtime/model_registry.hpp"
 #include "runtime/rollout.hpp"
 #include "runtime/sharded_store.hpp"
-#include "runtime/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ahn::runtime {
@@ -98,7 +95,6 @@ struct RetryPolicy {
 /// Serving-side tuning knobs (defaults suit tests and small deployments).
 struct OrchestratorOptions {
   std::size_t store_shards = ShardedTensorStore::kDefaultShards;
-  std::size_t pool_threads = 4;        ///< run_model_async executor width
   std::size_t max_batch = 32;          ///< micro-batch coalescing bound
   bool batch_flusher = true;           ///< flusher thread dispatches partial batches
                                        ///  (false: call flush_batches() yourself)
@@ -247,21 +243,12 @@ class Orchestrator : public RolloutHost {
                         const std::string& reason = "");
 
   /// Runs `name` on the tensor at `in_key`, storing the result at `out_key`.
-  /// Wall time of each online phase is modeled with the device model and
-  /// accumulated into `phases` when provided (the §7.3 breakdown:
-  /// "fetch" / "encode" / "load" / "run"). Returns kModelUnavailable /
-  /// kNotFound / kTransientFailure / kShuttingDown instead of throwing.
+  /// Each online phase is modeled with the device model and recorded in
+  /// stats() (the §7.3 breakdown: serving.latency.fetch / encode / load /
+  /// run). Returns kModelUnavailable / kNotFound / kTransientFailure /
+  /// kShuttingDown instead of throwing.
   [[nodiscard]] Status run_model(const std::string& name, const std::string& in_key,
-                                 const std::string& out_key,
-                                 PhaseAccumulator* phases = nullptr);
-
-  /// Asynchronous run_model: returns immediately; the future resolves to
-  /// the request's final Status once the result tensor is stored at
-  /// `out_key`. No PhaseAccumulator parameter: per-phase latency is
-  /// recorded thread-safely in stats().
-  [[nodiscard]] std::future<Status> run_model_async(const std::string& name,
-                                                    const std::string& in_key,
-                                                    const std::string& out_key);
+                                 const std::string& out_key);
 
   /// Micro-batched single-row inference: bypasses the keyed store and
   /// coalesces up to OrchestratorOptions::max_batch pending rows for `name`
@@ -276,10 +263,10 @@ class Orchestrator : public RolloutHost {
   /// Force-drains partially filled micro-batches (see BatchingQueue::flush).
   void flush_batches();
 
-  /// Graceful shutdown: executes every pending micro-batch, waits for
-  /// in-flight async work, and completes all subsequent run_model* calls
-  /// with kShuttingDown. Every request accepted before drain() resolves
-  /// with a result or a typed status. Idempotent.
+  /// Graceful shutdown: executes every pending micro-batch and completes
+  /// all subsequent run_model* calls with kShuttingDown. Every request
+  /// accepted before drain() resolves with a result or a typed status.
+  /// Idempotent.
   void drain();
   [[nodiscard]] bool draining() const noexcept {
     return draining_.load(std::memory_order_acquire);
@@ -336,14 +323,6 @@ class Orchestrator : public RolloutHost {
   [[nodiscard]] Result<Tensor> execute_with_retry(const ServableModel& m,
                                                   const Tensor& input,
                                                   RequestPhases* batch_phases);
-
-  /// run_model() past the admission (draining) check — the body shared by
-  /// the sync path and already-accepted async tasks, so a drain that starts
-  /// after acceptance cannot strand in-flight work.
-  [[nodiscard]] Status run_model_admitted(const std::string& name,
-                                          const std::string& in_key,
-                                          const std::string& out_key,
-                                          PhaseAccumulator* phases);
 
   /// Non-throwing active-version lookup (nullptr = unknown model).
   [[nodiscard]] std::shared_ptr<const ServableModel> find_model(
@@ -404,7 +383,6 @@ class Orchestrator : public RolloutHost {
       const Tensor& out, ActiveRollout* ro, const Tensor* cand_out,
       const std::vector<obs::SpanContext>& contexts, double per_row_seconds);
 
-  ThreadPool& pool();
   BatchingQueue& batches();
 
   DeviceModel device_;
@@ -457,12 +435,11 @@ class Orchestrator : public RolloutHost {
   /// Head-sampling counter for the batched trace path.
   std::atomic<std::uint64_t> trace_ticker_{0};
 
-  // Both executors are created on first use so sync-only users (most tests,
-  // the pipeline) never spawn threads. Destruction order matters: members
-  // below are destroyed first, joining their threads while the store and
-  // registry above are still alive.
-  std::once_flag pool_once_, batches_once_;
-  std::unique_ptr<ThreadPool> pool_;
+  // The batching queue is created on first use so sync-only users (most
+  // tests, the pipeline) never spawn threads. Destruction order matters: it
+  // is destroyed first, joining its flusher while the store and registry
+  // above are still alive.
+  std::once_flag batches_once_;
   std::unique_ptr<BatchingQueue> batches_;
 };
 
@@ -478,15 +455,8 @@ class Client {
   }
 
   Status run_model(const std::string& name, const std::string& in_key,
-                   const std::string& out_key, PhaseAccumulator* phases = nullptr) {
-    return orc_->run_model(name, in_key, out_key, phases);
-  }
-
-  /// Async variant of the Listing-1 call (see Orchestrator::run_model_async).
-  [[nodiscard]] std::future<Status> run_model_async(const std::string& name,
-                                                    const std::string& in_key,
-                                                    const std::string& out_key) {
-    return orc_->run_model_async(name, in_key, out_key);
+                   const std::string& out_key) {
+    return orc_->run_model(name, in_key, out_key);
   }
 
   /// Micro-batched single-row inference (see Orchestrator::run_model_batched).

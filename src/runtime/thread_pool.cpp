@@ -23,16 +23,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::pending() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + in_flight_;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::enqueue(std::function<void()> job) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -54,16 +44,8 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     job();  // packaged_task captures exceptions into the future
-    bool idle = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      idle = queue_.empty() && in_flight_ == 0;
-    }
-    if (idle) idle_cv_.notify_all();
   }
 }
 

@@ -1,8 +1,9 @@
 #pragma once
-// Fixed-size thread-pool executor behind run_model_async: clients submit
-// callables and receive std::futures; worker threads drain a single locked
-// queue. Destruction drains the queue (already-submitted work completes)
-// and joins every worker.
+// Fixed-size thread-pool executor behind the parallel NAS candidate
+// evaluation (pipeline search_workers, LTFB population workers): callers
+// submit callables and receive std::futures; worker threads drain a single
+// locked queue. Destruction drains the queue (already-submitted work
+// completes) and joins every worker.
 
 #include <condition_variable>
 #include <deque>
@@ -39,23 +40,13 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Tasks accepted but not yet finished (approximate under concurrency).
-  [[nodiscard]] std::size_t pending() const;
-
-  /// Blocks until every task accepted so far has finished (queue empty and
-  /// no job executing). Used by Orchestrator::drain(); tasks submitted
-  /// concurrently with the wait may extend it.
-  void wait_idle();
-
  private:
   void enqueue(std::function<void()> job);
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;  ///< signaled when the pool goes idle
   std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  ///< jobs popped but still executing
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

@@ -1,5 +1,5 @@
 // Tests for src/common: RNG determinism and distributions, statistics
-// helpers, phase accounting, FLOP counting and table rendering.
+// helpers, the stopwatch, FLOP counting and table rendering.
 
 #include <gtest/gtest.h>
 
@@ -143,26 +143,6 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(t.milliseconds(), 8.0);
   t.restart();
   EXPECT_LT(t.milliseconds(), 5.0);
-}
-
-TEST(PhaseAccumulator, AccumulatesAndComputesFractions) {
-  PhaseAccumulator acc;
-  acc.add("fetch", 1.0);
-  acc.add("run", 3.0);
-  acc.add("fetch", 1.0);
-  EXPECT_DOUBLE_EQ(acc.total(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.seconds("fetch"), 2.0);
-  EXPECT_DOUBLE_EQ(acc.fraction("run"), 0.6);
-  EXPECT_DOUBLE_EQ(acc.seconds("missing"), 0.0);
-}
-
-TEST(PhaseAccumulator, ScopedPhaseAddsOnDestruction) {
-  PhaseAccumulator acc;
-  {
-    ScopedPhase phase(acc, "work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(acc.seconds("work"), 0.0);
 }
 
 TEST(OpCounts, SumAndIntensity) {

@@ -129,17 +129,22 @@ TEST(Orchestrator, RunModelListing1Flow) {
   Client client(orc);
   Tensor in({1, 4}, {0.1, 0.2, 0.3, 0.4});
   client.put_tensor("in_key", in);
-  PhaseAccumulator phases;
-  EXPECT_TRUE(client.run_model("AI-CFD-net", "in_key", "out_key", &phases).is_ok());
+  EXPECT_TRUE(client.run_model("AI-CFD-net", "in_key", "out_key").is_ok());
   const Tensor out = client.unpack_tensor("out_key");
   EXPECT_EQ(out.rows(), 1u);
   EXPECT_EQ(out.cols(), 2u);
 
-  // §7.3's four online phases are all accounted.
-  EXPECT_GT(phases.seconds("fetch"), 0.0);
-  EXPECT_GT(phases.seconds("load"), 0.0);
-  EXPECT_GT(phases.seconds("run"), 0.0);
-  EXPECT_EQ(phases.seconds("encode"), 0.0);  // no encoder in this model
+  // §7.3's four online phases are all accounted, in the serving.latency.*
+  // histograms.
+  const obs::RegistrySnapshot reg = orc.stats().metrics().snapshot();
+  const auto phase_sum = [&reg](const std::string& phase) {
+    return reg.histograms.at("serving.latency." + phase).sum;
+  };
+  EXPECT_EQ(reg.histograms.at("serving.latency.total").count, 1u);
+  EXPECT_GT(phase_sum("fetch"), 0.0);
+  EXPECT_GT(phase_sum("load"), 0.0);
+  EXPECT_GT(phase_sum("run"), 0.0);
+  EXPECT_EQ(phase_sum("encode"), 0.0);  // no encoder in this model
 }
 
 TEST(Orchestrator, UnknownModelReportsModelUnavailable) {
@@ -359,7 +364,7 @@ TEST(ThreadPool, JobsSeeATeamOfOne) {
 
 // ------------------------------------------------- Concurrent orchestration
 
-TEST(Orchestrator, RunModelAsyncMatchesSyncResults) {
+TEST(Orchestrator, ConcurrentRunModelMatchesSyncResults) {
   Orchestrator orc;
   orc.set_model("m", tiny_model());
   Client client(orc);
@@ -384,7 +389,7 @@ TEST(Orchestrator, RunModelAsyncMatchesSyncResults) {
         const std::string in = "in" + std::to_string(i);
         const std::string out = "out" + std::to_string(i);
         c.put_tensor(in, Tensor({1, 4}, {base, base + 1, base + 2, base + 3}));
-        EXPECT_TRUE(c.run_model_async("m", in, out).get().is_ok());
+        EXPECT_TRUE(c.run_model("m", in, out).is_ok());
       }
     });
   }
@@ -398,24 +403,9 @@ TEST(Orchestrator, RunModelAsyncMatchesSyncResults) {
   EXPECT_GE(orc.stats().requests_served(), 32u);
 }
 
-TEST(Orchestrator, AsyncUnknownModelResolvesTypedStatus) {
-  Orchestrator orc;
-  orc.put_tensor("x", Tensor({1, 1}, {1}));
-  auto f = orc.run_model_async("nope", "x", "y");
-  EXPECT_EQ(f.get().code(), StatusCode::kModelUnavailable);
-}
-
-TEST(Orchestrator, AsyncMissingInputResolvesNotFound) {
-  Orchestrator orc;
-  orc.set_model("m", tiny_model());
-  auto f = orc.run_model_async("m", "absent", "y");
-  EXPECT_EQ(f.get().code(), StatusCode::kNotFound);
-  EXPECT_FALSE(orc.has_tensor("y"));
-}
-
 TEST(Orchestrator, MixedStoreAndInferenceStress) {
   // The satellite's combined stress: 8 threads hammer put/get/delete while
-  // also issuing run_model_async calls; assert correctness of every result.
+  // also issuing run_model calls; assert correctness of every result.
   Orchestrator orc;
   orc.set_model("m", tiny_model());
 
@@ -436,10 +426,9 @@ TEST(Orchestrator, MixedStoreAndInferenceStress) {
         const std::string in = "sin" + tid + "_" + std::to_string(i);
         const std::string out = "sout" + tid + "_" + std::to_string(i);
         c.put_tensor(in, Tensor({1, 4}, {1, 2, 3, 4}));
-        auto f = c.run_model_async("m", in, out);
+        EXPECT_TRUE(c.run_model("m", in, out).is_ok());
         EXPECT_TRUE(orc.has_tensor(scratch));
         orc.delete_tensor(scratch);
-        EXPECT_TRUE(f.get().is_ok());
         const Tensor got = c.unpack_tensor(out);
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t k = 0; k < got.size(); ++k) EXPECT_EQ(got[k], expected[k]);
@@ -510,10 +499,12 @@ TEST(Batching, CoalescesUpToMaxBatch) {
   EXPECT_EQ(snap.requests_served, 40u);
   // 40 rows with max_batch 16 from one thread: 16 + 16 + 8.
   EXPECT_EQ(snap.batches_executed, 3u);
-  ASSERT_TRUE(snap.batch_histogram.contains(16));
-  EXPECT_EQ(snap.batch_histogram.at(16), 2u);
-  ASSERT_TRUE(snap.batch_histogram.contains(8));
-  EXPECT_EQ(snap.batch_histogram.at(8), 1u);
+  const obs::HistogramSnapshot sizes =
+      orc.stats().metrics().snapshot().histograms.at("serving.batch_rows");
+  EXPECT_EQ(sizes.count, 3u);
+  EXPECT_EQ(sizes.sum, 40.0);
+  EXPECT_EQ(sizes.buckets[obs::LatencyHistogram::bucket_index(16.0)], 2u);
+  EXPECT_EQ(sizes.buckets[obs::LatencyHistogram::bucket_index(8.0)], 1u);
   EXPECT_GT(snap.mean_batch_size(), 1.0);
 }
 

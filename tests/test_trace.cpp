@@ -1,5 +1,5 @@
 // Tests for src/trace: the recorder (region directives, loop compression),
-// traced value handles, parallel DDDG construction (roots/leaves/use-def),
+// traced value handles, DDDG construction (roots/leaves/use-def),
 // feature identification (inputs/outputs/internals with liveness), and
 // Gaussian-perturbation sample generation.
 
@@ -10,7 +10,6 @@
 #include "trace/recorder.hpp"
 #include "trace/sampling.hpp"
 #include "trace/traced.hpp"
-#include "team_budgets.hpp"
 
 namespace ahn::trace {
 namespace {
@@ -146,43 +145,6 @@ TEST(Dddg, UseDefChainsLinkLoadsToStores) {
   }
   EXPECT_EQ(exposed, 1u);
   EXPECT_EQ(resolved, 1u);
-}
-
-TEST(Dddg, ParallelBuildMatchesSerial) {
-  TraceRecorder rec;
-  TracedArray a(rec, "a", std::vector<double>(300, 1.5), true);
-  TracedArray b(rec, "b", 300, true);
-  rec.begin_region();
-  for (std::size_t i = 0; i < 300; ++i) b[i] = a[i] * 2.0 + 1.0;
-  rec.end_region();
-  const Dddg serial = Dddg::build(rec, 1);
-  const Dddg parallel = Dddg::build(rec, 4);
-  EXPECT_EQ(serial.root_vars(), parallel.root_vars());
-  EXPECT_EQ(serial.leaf_vars(), parallel.leaf_vars());
-  EXPECT_EQ(serial.edge_count(), parallel.edge_count());
-  EXPECT_EQ(serial.use_def().size(), parallel.use_def().size());
-}
-
-// The chunk count fixes the graph; the team that runs the chunks does not.
-// The trace is above the grain, so every budget above 1 forks a real team.
-TEST(Dddg, ChunkPassIdenticalAcrossTeamBudgets) {
-  constexpr std::size_t kElems = 10000;
-  constexpr std::size_t kChunks = 4;
-  TraceRecorder rec;
-  TracedArray a(rec, "a", std::vector<double>(kElems, 1.5), true);
-  TracedArray b(rec, "b", kElems, true);
-  rec.begin_region();
-  for (std::size_t i = 0; i < kElems; ++i) b[i] = a[i] * 2.0 + 1.0;
-  rec.end_region();
-  ASSERT_TRUE(team_test::forks_full_team(rec.instructions().size(), kChunks));
-  const auto graphs =
-      team_test::at_team_budgets([&] { return Dddg::build(rec, kChunks); });
-  for (std::size_t i = 1; i < graphs.size(); ++i) {
-    EXPECT_EQ(graphs[0].edges(), graphs[i].edges());
-    EXPECT_EQ(graphs[0].use_def(), graphs[i].use_def());
-    EXPECT_EQ(graphs[0].root_vars(), graphs[i].root_vars());
-    EXPECT_EQ(graphs[0].leaf_vars(), graphs[i].leaf_vars());
-  }
 }
 
 TEST(Features, IdentifiesInputsOutputsInternals) {
