@@ -13,10 +13,10 @@
 // 2 threads cost ~6x a region at a constant 4 (kernel_microbench --grain).
 //
 // Team budget: omp_get_max_threads() reads OpenMP's per-thread nthreads ICV.
-// Threads the serving runtime owns (ThreadPool workers, BatchingQueue
-// flushers) call omp_set_num_threads(1) once at start, so they never fork
-// teams of their own next to the application's threads, while the thread
-// that builds a model keeps the full team.
+// Serving never forks: Orchestrator::serve runs every batch at a team of one
+// (TeamOfOne) on whichever thread runs it — a client, an inline leader or the
+// batching flusher — and ThreadPool workers set a budget of 1 once at start.
+// The thread that builds a model keeps the full team.
 //
 // Determinism: iterations stay the unit of parallel work and each writes
 // only its own outputs, so a result never depends on the team size chosen
@@ -45,6 +45,14 @@ inline constexpr std::size_t kParallelGrain = 32768;
   if (omp_in_parallel()) return 1;
   return std::max(1, omp_get_max_threads());
 }
+
+/// Holds the calling thread's team budget at 1 for its scope, then gives the
+/// thread back the budget it had.
+struct TeamOfOne {
+  TeamOfOne() noexcept : saved(omp_get_max_threads()) { omp_set_num_threads(1); }
+  ~TeamOfOne() { omp_set_num_threads(saved); }
+  const int saved;
+};
 
 /// Runs body(i) for i in [0, n), statically partitioned over a team sized
 /// by parallel_team_size(work, n). body must write disjoint data per i.

@@ -391,29 +391,20 @@ bool ModelMonitor::tick_sampler() noexcept {
 }
 
 void ModelMonitor::record_request(std::span<const double> row, bool qoi_ok) {
-  if (!opts_.enabled) return;
   requests_.fetch_add(1, std::memory_order_relaxed);
   qoi_.record(!qoi_ok);
   if (!tick_sampler()) return;  // the lock-free fast path ends here
-  const bool miss = !qoi_ok;
-  observe_sampled(row, &miss);
+  observe_sampled(row, !qoi_ok);
 }
 
-void ModelMonitor::observe_input(std::span<const double> row) {
-  if (!opts_.enabled) return;
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (!tick_sampler()) return;
-  observe_sampled(row, nullptr);
-}
-
-void ModelMonitor::observe_sampled(std::span<const double> row, const bool* qoi_miss) {
+void ModelMonitor::observe_sampled(std::span<const double> row, bool qoi_miss) {
   // Alerts detected under the lock are raised after it: the sink callback
   // must be able to read this monitor's health without deadlocking.
   Alert pending[2];
   std::size_t n_pending = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (qoi_miss != nullptr) qoi_.record_window(*qoi_miss);
+    qoi_.record_window(qoi_miss);
     ++rows_sampled_;
     if (drift_ != nullptr && row.size() == drift_->features()) {
       drift_->observe(row);
@@ -460,7 +451,7 @@ void ModelMonitor::observe_sampled(std::span<const double> row, const bool* qoi_
 
 void ModelMonitor::record_breaker_open(double window_fallback_rate,
                                        double trip_threshold) {
-  if (!opts_.enabled || alerts_ == nullptr) return;
+  if (alerts_ == nullptr) return;
   Alert a;
   a.kind = AlertKind::kBreakerOpen;
   a.model = model_;

@@ -283,7 +283,6 @@ class AlertSink {
 };
 
 struct MonitorOptions {
-  bool enabled = true;
   /// 1 in `sample_every` request rows is folded into the live sketch (and
   /// the sliding QoI window). 1 = every row.
   std::uint64_t sample_every = 16;
@@ -347,13 +346,9 @@ class ModelMonitor {
   /// path uses this when the incoming version carries no new sketch.
   void rebaseline();
 
-  /// One served request row + its QoI outcome (the batched serving path).
-  /// Lock-free unless this row is sampled.
+  /// One served request row + its QoI outcome. Lock-free unless this row is
+  /// sampled.
   void record_request(std::span<const double> row, bool qoi_ok);
-
-  /// One request row with no QoI outcome (the sync keyed-store path, which
-  /// runs no per-row QoI check). Only feeds the drift sketch.
-  void observe_input(std::span<const double> row);
 
   /// The orchestrator's breaker hook: raises a `breaker_open` alert.
   void record_breaker_open(double window_fallback_rate, double trip_threshold);
@@ -370,7 +365,7 @@ class ModelMonitor {
   void rebaseline_locked();
   /// Folds a sampled row into the drift sketch, re-checks the drift/QoI
   /// edge-triggers, and raises any pending alerts after unlocking. Locks.
-  void observe_sampled(std::span<const double> row, const bool* qoi_ok);
+  void observe_sampled(std::span<const double> row, bool qoi_miss);
 
   const std::string model_;
   const MonitorOptions opts_;

@@ -1,7 +1,5 @@
 #include "runtime/batching_queue.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <utility>
 
@@ -112,11 +110,6 @@ void BatchingQueue::drain() {
   flush();  // everything accepted before the flag flipped gets served
 }
 
-bool BatchingQueue::draining() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return draining_;
-}
-
 std::size_t BatchingQueue::flusher_sweeps() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return flusher_sweeps_;
@@ -223,16 +216,12 @@ void BatchingQueue::execute(const std::string& model, PendingBatch batch) {
                                                  " rows"));
     return;
   }
-  if (stats_ != nullptr) stats_->record_batch(live.rows.size());
   for (std::size_t r = 0; r < live.promises.size(); ++r) {
     live.promises[r].set_value(std::move(results[r]));
   }
 }
 
 void BatchingQueue::flusher_loop() {
-  // The flusher runs batches side by side with client threads; their loops
-  // stay serial rather than forking a team next to them.
-  omp_set_num_threads(1);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Idle: sleep until a row is pending. submit() wakes us on the first.

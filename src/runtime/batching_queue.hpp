@@ -98,10 +98,6 @@ class BatchingQueue {
   /// subsequent submits immediately with kShuttingDown. Idempotent.
   void drain();
 
-  [[nodiscard]] bool draining() const;
-
-  [[nodiscard]] const BatchingOptions& options() const noexcept { return opts_; }
-
   /// Times the flusher woke and took pending batches. Stays 0 while the
   /// queue is idle, however long: the flusher only wakes for pending rows.
   [[nodiscard]] std::size_t flusher_sweeps() const;

@@ -401,7 +401,7 @@ Status ClusterOrchestrator::run_model(const std::string& name,
 
 std::vector<std::size_t> ClusterOrchestrator::prefer_closed_breakers(
     std::vector<std::size_t> candidates, const std::string& name) {
-  if (!opts_.shard_opts.enable_breaker || candidates.size() < 2) return candidates;
+  if (candidates.size() < 2) return candidates;
   const auto breaker_open = [&](std::size_t s) {
     return shard_ptr(s)->breaker(name).state() == BreakerState::kOpen;
   };

@@ -7,7 +7,9 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
+#include "nn/train.hpp"
 #include "runtime/deployment.hpp"
 
 namespace ahn::runtime {
@@ -22,13 +24,17 @@ std::future<Result<Tensor>> ready_result(Result<Tensor> r) {
   return p.get_future();
 }
 
+/// Row `r` of a rank-2 tensor as its own (1 x cols) tensor.
+Tensor copy_row(const Tensor& t, std::size_t r) {
+  return Tensor({1, t.cols()}, std::vector<double>(t.row(r).begin(), t.row(r).end()));
+}
+
 }  // namespace
 
 Orchestrator::Orchestrator(DeviceModel device, OrchestratorOptions opts)
     : device_(device),
       opts_(opts),
-      tracer_(opts.tracer != nullptr ? opts.tracer : &obs::Tracer::global()),
-      tensors_(opts.store_shards) {
+      tracer_(opts.tracer != nullptr ? opts.tracer : &obs::Tracer::global()) {
   // The SLO engine outlives every serving thread (destroyed after the
   // executors join) and feeds this orchestrator's own alert sink/registry.
   slo_ = std::make_unique<obs::SloEngine>(opts_.slos, &alerts_, &stats_.metrics());
@@ -68,30 +74,23 @@ void Orchestrator::deploy(const DeploymentPackage& pkg) {
 }
 
 std::shared_ptr<const ServableModel> Orchestrator::model(const std::string& name) const {
-  std::shared_ptr<const ServableModel> m = find_model(name);
+  std::shared_ptr<const ServableModel> m = registry_.active_model(name);
   AHN_CHECK_MSG(m != nullptr, "no model named '" << name << "'");
   return m;
-}
-
-std::shared_ptr<const ServableModel> Orchestrator::find_model(
-    const std::string& name) const {
-  return registry_.active_model(name);
 }
 
 bool Orchestrator::promote(const std::string& name, std::uint64_t id) {
   const std::optional<ModelVersion> ver = registry_.version(name, id);
   if (!ver.has_value() || !registry_.promote(name, id)) return false;
-  if (opts_.monitor.enabled) {
-    // Re-baseline decay detection for the newly serving weights: install
-    // the version's own reference sketch when it carries one, otherwise
-    // re-arm against the existing reference. Either way both edge-triggers
-    // reset, so a recovered model can alert on a *second* drift episode.
-    obs::ModelMonitor& mon = monitor(name);
-    if (ver->reference != nullptr) {
-      mon.set_reference(ver->reference);
-    } else {
-      mon.rebaseline();
-    }
+  // Re-baseline decay detection for the newly serving weights: install the
+  // version's own reference sketch when it carries one, otherwise re-arm
+  // against the existing reference. Either way both edge-triggers reset, so
+  // a recovered model can alert on a *second* drift episode.
+  obs::ModelMonitor& mon = monitor(name);
+  if (ver->reference != nullptr) {
+    mon.set_reference(ver->reference);
+  } else {
+    mon.rebaseline();
   }
   stats_.metrics()
       .gauge("serving.model_version{model=\"" + name + "\"}")
@@ -102,13 +101,11 @@ bool Orchestrator::promote(const std::string& name, std::uint64_t id) {
 std::optional<std::uint64_t> Orchestrator::rollback(const std::string& name) {
   const std::optional<ModelVersion> ver = registry_.rollback(name);
   if (!ver.has_value()) return std::nullopt;
-  if (opts_.monitor.enabled) {
-    obs::ModelMonitor& mon = monitor(name);
-    if (ver->reference != nullptr) {
-      mon.set_reference(ver->reference);
-    } else {
-      mon.rebaseline();
-    }
+  obs::ModelMonitor& mon = monitor(name);
+  if (ver->reference != nullptr) {
+    mon.set_reference(ver->reference);
+  } else {
+    mon.rebaseline();
   }
   stats_.metrics()
       .gauge("serving.model_version{model=\"" + name + "\"}")
@@ -301,16 +298,14 @@ CircuitBreaker& Orchestrator::breaker(const std::string& name) {
     obs::Gauge& state_gauge =
         stats_.metrics().gauge("serving.breaker_state{model=\"" + name + "\"}");
     state_gauge.set(0.0);
-    obs::ModelMonitor* mon = opts_.monitor.enabled ? &monitor(name) : nullptr;
+    obs::ModelMonitor& mon = monitor(name);
     const double trip_threshold = bopts.trip_threshold;
-    bopts.on_transition = [this, &state_gauge, mon, trip_threshold, name](
+    bopts.on_transition = [this, &state_gauge, &mon, trip_threshold, name](
                               BreakerState /*from*/, BreakerState to,
                               double window_fallback_rate) {
       state_gauge.set(static_cast<double>(to));
       if (to == BreakerState::kOpen) {
-        if (mon != nullptr) {
-          mon->record_breaker_open(window_fallback_rate, trip_threshold);
-        }
+        mon.record_breaker_open(window_fallback_rate, trip_threshold);
         // A trip mid-rollout fails the candidate immediately, whatever the
         // stage (lock order: breaker mutex -> rollouts_mu_ shared ->
         // controller mutex; nothing here calls back into the breaker).
@@ -468,22 +463,6 @@ Result<Tensor> Orchestrator::execute_with_retry(const ServableModel& m,
   }
 }
 
-void Orchestrator::record_requests(const RequestPhases& batch_phases, std::size_t rows,
-                                   const std::vector<obs::SpanContext>& contexts) {
-  if (rows == 0) return;
-  const double n = static_cast<double>(rows);
-  // Per-request latency is the batch's modeled phase time amortized over the
-  // coalesced rows — the quantity the batch-size histogram trades against.
-  const RequestPhases per_request{batch_phases.fetch / n, batch_phases.encode / n,
-                                  batch_phases.load / n, batch_phases.run / n};
-  for (std::size_t i = 0; i < rows; ++i) {
-    // Traced rows stamp their trace id onto the latency buckets they land
-    // in, so a scraped histogram links straight to a captured trace.
-    const std::uint64_t trace_id = i < contexts.size() ? contexts[i].trace_id : 0;
-    stats_.record_request(per_request, trace_id);
-  }
-}
-
 Status Orchestrator::run_model(const std::string& name, const std::string& in_key,
                                const std::string& out_key) {
   if (draining()) {
@@ -491,7 +470,7 @@ Status Orchestrator::run_model(const std::string& name, const std::string& in_ke
     return Status(StatusCode::kShuttingDown, "orchestrator draining");
   }
   const obs::Span span(*tracer_, "serve.run_model");
-  const std::shared_ptr<const ServableModel> m = find_model(name);
+  const std::shared_ptr<const ServableModel> m = registry_.active_model(name);
   if (m == nullptr) {
     return Status(StatusCode::kModelUnavailable, "no model named '" + name + "'");
   }
@@ -499,21 +478,18 @@ Status Orchestrator::run_model(const std::string& name, const std::string& in_ke
   if (!input.has_value()) {
     return Status(StatusCode::kNotFound, "no tensor at key '" + in_key + "'");
   }
-  const std::size_t rows = input->rank() == 2 ? input->rows() : 0;
-
-  RequestPhases batch_phases;
-  Result<Tensor> out = execute_with_retry(*m, *input, &batch_phases);
-  if (!out.is_ok()) return out.status();
-
-  stats_.record_batch(rows);
-  record_requests(batch_phases, rows);
-  if (opts_.monitor.enabled && rows > 0) {
-    // Sampled drift observation for the keyed-store path (no per-row QoI
-    // here). Lock-free for unsampled rows — see obs/monitor.hpp.
-    obs::ModelMonitor& mon = monitor(name);
-    for (std::size_t r = 0; r < rows; ++r) mon.observe_input(input->row(r));
+  std::optional<Tensor> out = breaker_fallback(name, *m, *input);
+  if (!out.has_value()) {
+    // The keyed tensor is one batch, served on this thread: no queue, no
+    // handoff.
+    std::vector<Tensor> rows;
+    for (Result<Tensor>& r : serve(name, m.get(), *input, {})) {
+      if (!r.is_ok()) return r.status();
+      rows.push_back(std::move(r.value()));
+    }
+    out = nn::pack_rows(rows);
   }
-  put_tensor(out_key, std::move(out.value()));
+  put_tensor(out_key, std::move(*out));
   return Status::ok();
 }
 
@@ -538,25 +514,90 @@ std::future<Result<Tensor>> Orchestrator::run_model_batched(const std::string& n
                  0) {
     span.emplace(*tracer_, "serve.run_model_batched");
   }
-  const std::shared_ptr<const ServableModel> m = find_model(name);
+  const std::shared_ptr<const ServableModel> m = registry_.active_model(name);
   if (m == nullptr) {
     slo_->record_dropped(name);
     return ready_result(
         Status(StatusCode::kModelUnavailable, "no model named '" + name + "'"));
   }
-  if (opts_.enable_breaker && m->fallback) {
-    if (breaker(name).admit() == CircuitBreaker::Route::kOriginal) {
-      // Open (or probe-saturated half-open) breaker: the request is served
-      // by the original code on the caller's thread — graceful systemic
-      // degradation instead of doomed surrogate traffic.
-      const obs::Span fb_span(*tracer_, "serve.breaker_fallback");
-      stats_.record_breaker_fallback();
-      slo_->record(name, 0.0, /*ok=*/true, /*qoi_fallback=*/true);
-      if (row.rank() == 1) row.reshape({1, row.size()});
-      return ready_result(Result<Tensor>(m->fallback(row)));
-    }
+  if (row.rank() == 1) row.reshape({1, row.size()});
+  if (std::optional<Tensor> exact = breaker_fallback(name, *m, row)) {
+    return ready_result(Result<Tensor>(std::move(*exact)));
   }
   return batches().submit(name, std::move(row), request.deadline);
+}
+
+std::optional<Tensor> Orchestrator::breaker_fallback(const std::string& name,
+                                                     const ServableModel& m,
+                                                     const Tensor& input) {
+  if (!m.fallback || breaker(name).admit() != CircuitBreaker::Route::kOriginal) {
+    return std::nullopt;
+  }
+  // Open (or probe-saturated half-open) breaker: the request is served by
+  // the original code on the caller's thread — graceful systemic
+  // degradation instead of doomed surrogate traffic.
+  const obs::Span fb_span(*tracer_, "serve.breaker_fallback");
+  std::vector<Tensor> exact;
+  for (std::size_t r = 0; r < input.rows(); ++r) {
+    stats_.record_breaker_fallback();
+    slo_->record(name, 0.0, /*ok=*/true, /*qoi_fallback=*/true);
+    exact.push_back(m.fallback(copy_row(input, r)));
+  }
+  return nn::pack_rows(exact);
+}
+
+BatchingQueue::RowResults Orchestrator::serve(const std::string& name,
+                                              const ServableModel* m, const Tensor& batch,
+                                              const std::vector<obs::SpanContext>& contexts) {
+  const TeamOfOne team;
+  const std::size_t rows = batch.rows();
+  stats_.record_batch(rows);
+  RequestPhases phases;
+  const Result<Tensor> out =
+      m != nullptr ? execute_with_retry(*m, batch, &phases)
+                   : Status(StatusCode::kModelUnavailable, "no model named '" + name + "'");
+  if (!out.is_ok()) {
+    // A batch-wide failure is `rows` availability bad events.
+    for (std::size_t r = 0; r < rows; ++r) {
+      slo_->record(name, 0.0, /*ok=*/false, /*qoi_fallback=*/false);
+    }
+    return BatchingQueue::RowResults(rows, out.status());
+  }
+  // Per-request latency is the batch's modeled phase time amortized over the
+  // rows — the quantity the batch-size histogram trades against. Traced rows
+  // stamp their trace id onto the latency buckets they land in, so a scraped
+  // histogram links straight to a captured trace.
+  const double n = static_cast<double>(std::max<std::size_t>(rows, 1));
+  const RequestPhases per_request{phases.fetch / n, phases.encode / n, phases.load / n,
+                                  phases.run / n};
+  for (std::size_t r = 0; r < rows; ++r) {
+    stats_.record_request(per_request, r < contexts.size() ? contexts[r].trace_id : 0);
+  }
+
+  // Live rollout for this model: run the candidate's duplicate forward over
+  // the same batch (no stats, no fault injection — the shadow must not
+  // perturb the serving measurements it is judged against).
+  const std::shared_ptr<ActiveRollout> ro = find_rollout(name);
+  Tensor cand_out;
+  bool have_candidate = false;
+  if (ro != nullptr) {
+    const RolloutState st = ro->ctl.poll();
+    if (st == RolloutState::kShadow || st == RolloutState::kCanary) {
+      std::optional<obs::Span> shadow_span;
+      if (obs::Tracer::current().trace_id != 0) {
+        shadow_span.emplace(*tracer_, "serve.shadow_infer");
+      }
+      const ServableModel& cand = *ro->candidate;
+      cand_out = cand.encode ? cand.surrogate.predict(cand.encode(batch))
+                             : cand.surrogate.predict(batch);
+      have_candidate = cand_out.rows() == rows;
+    }
+  }
+  BatchingQueue::RowResults results = finalize_batch(
+      name, *m, batch, out.value(), have_candidate ? ro.get() : nullptr,
+      have_candidate ? &cand_out : nullptr, contexts, per_request.total());
+  if (ro != nullptr) maybe_conclude_rollout(name, *ro);
+  return results;
 }
 
 BatchingQueue::RowResults Orchestrator::finalize_batch(
@@ -566,25 +607,20 @@ BatchingQueue::RowResults Orchestrator::finalize_batch(
   const std::size_t rows = batch.rows();
   BatchingQueue::RowResults results;
   results.reserve(rows);
-  CircuitBreaker* br =
-      (opts_.enable_breaker && m.fallback) ? &breaker(name) : nullptr;
-  obs::ModelMonitor* mon = opts_.monitor.enabled ? &monitor(name) : nullptr;
+  CircuitBreaker* br = m.fallback ? &breaker(name) : nullptr;
+  obs::ModelMonitor& mon = monitor(name);
   SampleHook hook;
   if (hook_set_.load(std::memory_order_acquire)) {
     const std::lock_guard<std::mutex> lock(hook_mu_);
     hook = sample_hook_;
   }
   for (std::size_t r = 0; r < rows; ++r) {
-    Tensor row_out({1, out.cols()});
-    std::copy(out.row(r).begin(), out.row(r).end(), row_out.row(0).begin());
+    Tensor row_out = copy_row(out, r);
 
     // Built on demand: only QoI checks and fallbacks need the input row.
     Tensor row_in;
     const auto input_row = [&]() -> const Tensor& {
-      if (row_in.size() == 0) {
-        row_in = Tensor({1, batch.cols()});
-        std::copy(batch.row(r).begin(), batch.row(r).end(), row_in.row(0).begin());
-      }
+      if (row_in.size() == 0) row_in = copy_row(batch, r);
       return row_in;
     };
 
@@ -601,9 +637,7 @@ BatchingQueue::RowResults Orchestrator::finalize_batch(
     bool cand_ok = false;
     Tensor cand_row;
     if (ro != nullptr && cand_out != nullptr) {
-      cand_row = Tensor({1, cand_out->cols()});
-      std::copy(cand_out->row(r).begin(), cand_out->row(r).end(),
-                cand_row.row(0).begin());
+      cand_row = copy_row(*cand_out, r);
       cand_ok = std::all_of(cand_row.row(0).begin(), cand_row.row(0).end(),
                             [](double v) { return std::isfinite(v); });
       const ServableModel& cand_model = *ro->candidate;
@@ -627,7 +661,7 @@ BatchingQueue::RowResults Orchestrator::finalize_batch(
     // Health signals track whichever model actually served the row.
     const bool served_ok = serve_candidate ? cand_ok : qoi_ok;
     if (br != nullptr) br->record_outcome(served_ok);
-    if (mon != nullptr) mon->record_request(batch.row(r), served_ok);
+    mon.record_request(batch.row(r), served_ok);
     if (hook) hook(name, batch.row(r), served_ok);
 
     if (served_ok) {
@@ -644,12 +678,8 @@ BatchingQueue::RowResults Orchestrator::finalize_batch(
       // under the enclosing batch span (same thread).
       const obs::SpanContext row_ctx =
           r < contexts.size() ? contexts[r] : obs::SpanContext{};
-      std::optional<obs::Span> span;
-      if (row_ctx.trace_id != 0) {
-        span.emplace(*tracer_, "serve.qoi_fallback", row_ctx);
-      } else {
-        span.emplace(*tracer_, "serve.qoi_fallback");
-      }
+      const obs::Span span(*tracer_, "serve.qoi_fallback",
+                           row_ctx.trace_id != 0 ? row_ctx : obs::Tracer::current());
       slo_->record(name, per_row_seconds, /*ok=*/true, /*qoi_fallback=*/true);
       results.emplace_back(m.fallback(input_row()));
     } else {
@@ -683,8 +713,7 @@ BatchingQueue& Orchestrator::batches() {
     bopts.flusher = opts_.batch_flusher;
     batches_ = std::make_unique<BatchingQueue>(
         [this](const std::string& model_name, const Tensor& batch,
-               const std::vector<obs::SpanContext>& contexts)
-            -> BatchingQueue::RowResults {
+               const std::vector<obs::SpanContext>& contexts) {
           // Nested inside the queue's "batching.execute" span (same thread):
           // the batch span covers model lookup + the fused forward + QoI.
           // Join-only — when the batch carried no traced row there is no
@@ -694,56 +723,8 @@ BatchingQueue& Orchestrator::batches() {
           if (obs::Tracer::current().trace_id != 0) {
             span.emplace(*tracer_, "serve.batch");
           }
-          const std::size_t rows = batch.rows();
-          const auto fail_rows = [&](const Status& status) {
-            // A batch-wide failure is `rows` availability bad events.
-            for (std::size_t r = 0; r < rows; ++r) {
-              slo_->record(model_name, 0.0, /*ok=*/false, /*qoi_fallback=*/false);
-            }
-            return BatchingQueue::RowResults(rows, Result<Tensor>(status));
-          };
-          const std::shared_ptr<const ServableModel> m = find_model(model_name);
-          if (m == nullptr) {
-            return fail_rows(Status(StatusCode::kModelUnavailable,
-                                    "no model named '" + model_name + "'"));
-          }
-          RequestPhases batch_phases;
-          Result<Tensor> out = execute_with_retry(*m, batch, &batch_phases);
-          if (!out.is_ok()) {
-            return fail_rows(out.status());
-          }
-          record_requests(batch_phases, rows, contexts);
-
-          // Live rollout for this model: run the candidate's duplicate
-          // forward over the same batch (no stats, no fault injection — the
-          // shadow must not perturb the serving measurements it is judged
-          // against).
-          const std::shared_ptr<ActiveRollout> ro = find_rollout(model_name);
-          Tensor cand_out;
-          bool have_candidate = false;
-          if (ro != nullptr) {
-            const RolloutState st = ro->ctl.poll();
-            if (st == RolloutState::kShadow || st == RolloutState::kCanary) {
-              std::optional<obs::Span> shadow_span;
-              if (obs::Tracer::current().trace_id != 0) {
-                shadow_span.emplace(*tracer_, "serve.shadow_infer");
-              }
-              const ServableModel& cand = *ro->candidate;
-              cand_out = cand.encode ? cand.surrogate.predict(cand.encode(batch))
-                                     : cand.surrogate.predict(batch);
-              have_candidate = cand_out.rows() == rows;
-            }
-          }
-          const double per_row_seconds =
-              rows > 0 ? (batch_phases.fetch + batch_phases.encode +
-                          batch_phases.load + batch_phases.run) /
-                             static_cast<double>(rows)
-                       : 0.0;
-          BatchingQueue::RowResults results = finalize_batch(
-              model_name, *m, batch, out.value(), have_candidate ? ro.get() : nullptr,
-              have_candidate ? &cand_out : nullptr, contexts, per_row_seconds);
-          if (ro != nullptr) maybe_conclude_rollout(model_name, *ro);
-          return results;
+          const std::shared_ptr<const ServableModel> m = registry_.active_model(model_name);
+          return serve(model_name, m.get(), batch, contexts);
         },
         bopts, &stats_, tracer_);
   });

@@ -94,7 +94,6 @@ struct RetryPolicy {
 
 /// Serving-side tuning knobs (defaults suit tests and small deployments).
 struct OrchestratorOptions {
-  std::size_t store_shards = ShardedTensorStore::kDefaultShards;
   std::size_t max_batch = 32;          ///< micro-batch coalescing bound
   bool batch_flusher = true;           ///< flusher thread dispatches partial batches
                                        ///  (false: call flush_batches() yourself)
@@ -107,12 +106,11 @@ struct OrchestratorOptions {
   bool simulate_device_occupancy = false;
 
   RetryPolicy retry;                   ///< transient-fault retry budget
-  CircuitBreakerOptions breaker;       ///< per-model QoI breaker tuning
-  bool enable_breaker = true;          ///< engages for models with a fallback
+  CircuitBreakerOptions breaker;       ///< QoI breaker of each model with a fallback
 
   /// Model-health monitoring knobs (docs/OBSERVABILITY.md): input-drift
   /// detection against the deployed reference sketch, QoI trend alerting,
-  /// sampling rate. monitor.enabled = false turns the whole layer off.
+  /// sampling rate.
   obs::MonitorOptions monitor;
 
   /// Span sink for the per-request serving traces (docs/OBSERVABILITY.md).
@@ -128,7 +126,7 @@ struct OrchestratorOptions {
   std::size_t trace_sample_every = 16;
 
   /// Declarative SLOs over the served-request stream (docs/OBSERVABILITY.md).
-  /// Every batched-path outcome is folded into each matching spec; burn-rate
+  /// Every served row's outcome is folded into each matching spec; burn-rate
   /// gauges land in stats().metrics() and edge-triggered kSloBurn alerts in
   /// alerts(). Empty = no SLO engine overhead beyond an empty loop.
   std::vector<obs::SloSpec> slos;
@@ -243,10 +241,11 @@ class Orchestrator : public RolloutHost {
                         const std::string& reason = "");
 
   /// Runs `name` on the tensor at `in_key`, storing the result at `out_key`.
-  /// Each online phase is modeled with the device model and recorded in
-  /// stats() (the §7.3 breakdown: serving.latency.fetch / encode / load /
-  /// run). Returns kModelUnavailable / kNotFound / kTransientFailure /
-  /// kShuttingDown instead of throwing.
+  /// The tensor is served as one batch on the caller's thread, by the same
+  /// core and §7.1 rules as a micro-batch; each online phase is recorded in
+  /// stats() (the §7.3 breakdown). Returns kModelUnavailable / kNotFound /
+  /// kTransientFailure / kShuttingDown, or the first failed row's status
+  /// (kQoIRejected), instead of throwing; on failure `out_key` is untouched.
   [[nodiscard]] Status run_model(const std::string& name, const std::string& in_key,
                                  const std::string& out_key);
 
@@ -312,9 +311,23 @@ class Orchestrator : public RolloutHost {
   [[nodiscard]] const OrchestratorOptions& options() const noexcept { return opts_; }
 
  private:
-  /// Shared inference core: fault-injection hooks, encode (optional) +
-  /// batched surrogate forward, with modeled per-phase seconds for the
-  /// whole batch. Returns kTransientFailure when the injector fires.
+  /// The one serving core, for keyed run_model and the micro-batch executor:
+  /// execute with retry, record the batch, its requests and any rollout
+  /// forward, finalize every row. A null `m` fails every row
+  /// kModelUnavailable. Runs at a team of one (TeamOfOne) on any thread.
+  [[nodiscard]] BatchingQueue::RowResults serve(
+      const std::string& name, const ServableModel* m, const Tensor& batch,
+      const std::vector<obs::SpanContext>& contexts);
+
+  /// The open-breaker route of both admission points: the original code's
+  /// rows for `input` when `name`'s breaker routes there, else nullopt.
+  [[nodiscard]] std::optional<Tensor> breaker_fallback(const std::string& name,
+                                                       const ServableModel& m,
+                                                       const Tensor& input);
+
+  /// Fault-injection hooks, encode (optional) + batched surrogate forward,
+  /// with modeled per-phase seconds for the whole batch. Returns
+  /// kTransientFailure when the injector fires.
   [[nodiscard]] Result<Tensor> execute(const ServableModel& m, const Tensor& input,
                                        RequestPhases* batch_phases);
 
@@ -323,17 +336,6 @@ class Orchestrator : public RolloutHost {
   [[nodiscard]] Result<Tensor> execute_with_retry(const ServableModel& m,
                                                   const Tensor& input,
                                                   RequestPhases* batch_phases);
-
-  /// Non-throwing active-version lookup (nullptr = unknown model).
-  [[nodiscard]] std::shared_ptr<const ServableModel> find_model(
-      const std::string& name) const;
-
-  /// Records one executed batch of `rows` requests into stats_ (per-request
-  /// latency = batch phases amortized over the rows). `contexts` (may be
-  /// empty) carries each row's submitting span so traced rows stamp latency
-  /// exemplars onto the histogram buckets they land in.
-  void record_requests(const RequestPhases& batch_phases, std::size_t rows,
-                       const std::vector<obs::SpanContext>& contexts = {});
 
   /// One in-flight rollout: the candidate weights pinned for the shadow
   /// duplicate forward, the state machine, and cached metric handles (the

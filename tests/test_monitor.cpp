@@ -365,19 +365,6 @@ TEST(ModelMonitor, BreakerOpenHookRaisesAlert) {
   EXPECT_EQ(recent[0].model, "m");
 }
 
-TEST(ModelMonitor, DisabledMonitorRecordsNothing) {
-  obs::MonitorOptions opts = every_row_options();
-  opts.enabled = false;
-  obs::AlertSink sink;
-  obs::ModelMonitor mon("m", opts, &sink);
-  const std::vector<double> row{100.0};
-  for (int i = 0; i < 100; ++i) mon.record_request(row, /*qoi_ok=*/false);
-  const obs::ModelHealth h = mon.health();
-  EXPECT_EQ(h.requests_observed, 0u);
-  EXPECT_EQ(h.rows_sampled, 0u);
-  EXPECT_EQ(sink.raised_total(), 0u);
-}
-
 TEST(ModelMonitor, ConcurrentRecordingIsSafeAndCounted) {
   obs::AlertSink sink;
   obs::ModelMonitor mon("m", obs::MonitorOptions{}, &sink);  // sample_every=16

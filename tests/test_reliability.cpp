@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -302,6 +303,89 @@ TEST(Reliability, NanCorruptionFallsBackToOriginalCode) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_DOUBLE_EQ(r.value().at(0, 0), 42.0);  // exact path, not NaN
   EXPECT_EQ(orc.stats().qoi_fallbacks(), 1u);
+}
+
+// ------------------------------------------------------------- keyed path
+// run_model serves its tensor through the same core as a micro-batch, so
+// keyed requests keep the same §7.1 contract.
+
+TEST(Reliability, KeyedNanRowRejectedWithoutFallback) {
+  Orchestrator orc(DeviceModel{}, inline_opts());
+  orc.set_model("m", rig_model());  // no qoi_check, no fallback
+  FaultSpec poison;
+  poison.nan_prob = 1.0;
+  orc.set_fault_injector(std::make_shared<FaultInjector>(poison, 3));
+
+  orc.put_tensor("x", request_row());
+  EXPECT_EQ(orc.run_model("m", "x", "y").code(), StatusCode::kQoIRejected);
+  EXPECT_FALSE(orc.has_tensor("y"));
+}
+
+TEST(Reliability, KeyedNanRowFallsBackToOriginalCode) {
+  Orchestrator orc(DeviceModel{}, inline_opts());
+  orc.set_model("m", rig_model(nullptr, exact_row));
+  FaultSpec poison;
+  poison.nan_prob = 1.0;
+  orc.set_fault_injector(std::make_shared<FaultInjector>(poison, 3));
+
+  orc.put_tensor("x", request_row());
+  const std::uint64_t before = orc.stats().qoi_fallbacks();
+  ASSERT_TRUE(orc.run_model("m", "x", "y").is_ok());
+  const Tensor y = orc.get_tensor("y");
+  const Tensor exact = exact_row(request_row());
+  ASSERT_EQ(y.shape(), exact.shape());
+  EXPECT_EQ(std::memcmp(y.data(), exact.data(), y.size() * sizeof(double)), 0);
+  EXPECT_EQ(orc.stats().qoi_fallbacks(), before + 1);
+}
+
+TEST(Reliability, KeyedRowsOnAnOpenBreakerServeTheOriginalCode) {
+  auto fake_clock = std::make_shared<std::atomic<double>>(0.0);
+  OrchestratorOptions opts = inline_opts();
+  opts.breaker.window = 8;
+  opts.breaker.min_samples = 4;
+  opts.breaker.trip_threshold = 0.5;
+  opts.breaker.cooldown_seconds = 1.0;
+  opts.breaker.clock = [fake_clock] { return fake_clock->load(); };
+  Orchestrator orc(DeviceModel{}, opts);
+  orc.set_model("m", rig_model([](const Tensor&, const Tensor&) { return false; },
+                               exact_row));
+  orc.put_tensor("x", Tensor({4, 4}, std::vector<double>(16, 0.5)));
+
+  // Four keyed rows miss QoI: each falls back, and together they trip the
+  // breaker.
+  ASSERT_TRUE(orc.run_model("m", "x", "y").is_ok());
+  EXPECT_EQ(orc.stats().qoi_fallbacks(), 4u);
+  ASSERT_EQ(orc.breaker("m").state(), BreakerState::kOpen);
+  const std::uint64_t batches = orc.stats().batches_executed();
+
+  // Open breaker: the keyed tensor never reaches the surrogate, and every
+  // row counts as a breaker fallback.
+  ASSERT_TRUE(orc.run_model("m", "x", "z").is_ok());
+  const Tensor z = orc.get_tensor("z");
+  ASSERT_EQ(z.rows(), 4u);
+  for (const double v : z.flat()) EXPECT_DOUBLE_EQ(v, 42.0);
+  EXPECT_EQ(orc.stats().breaker_fallbacks(), 4u);
+  EXPECT_EQ(orc.stats().batches_executed(), batches);
+}
+
+TEST(Reliability, KeyedRowsReachSampleHookAndSlos) {
+  OrchestratorOptions opts = inline_opts();
+  obs::SloSpec avail;
+  avail.name = "avail";
+  avail.kind = obs::SloKind::kAvailability;
+  opts.slos = {avail};
+  Orchestrator orc(DeviceModel{}, opts);
+  orc.set_model("m", rig_model());
+  std::atomic<int> hooked{0};
+  orc.set_sample_hook([&](const std::string&, std::span<const double>, bool) { ++hooked; });
+
+  orc.put_tensor("x", Tensor({3, 4}, std::vector<double>(12, 0.25)));
+  ASSERT_TRUE(orc.run_model("m", "x", "y").is_ok());
+  EXPECT_EQ(hooked.load(), 3);
+  const std::vector<obs::SloStatus> slo = orc.slo_engine().status();
+  ASSERT_EQ(slo.size(), 1u);
+  EXPECT_EQ(slo[0].events, 3u);
+  EXPECT_EQ(slo[0].bad_events, 0u);
 }
 
 // The acceptance-criteria lifecycle: injected QoI misses trip the breaker,

@@ -25,6 +25,7 @@
 #include "runtime/sharded_store.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sparse/generators.hpp"
+#include "team_budgets.hpp"
 
 namespace ahn::runtime {
 namespace {
@@ -481,6 +482,40 @@ TEST(Batching, BitwiseIdenticalToPerRowInference) {
   }
 }
 
+// A multi-row keyed tensor is one batch through the same core: each of its
+// rows equals, bitwise, the row the micro-batched path returns for it.
+TEST(Batching, KeyedTensorRowsMatchBatchedRowsBitwise) {
+  OrchestratorOptions opts;
+  opts.max_batch = 4;  // the batched side runs full and partial batches
+  opts.batch_flusher = false;
+  Orchestrator orc(DeviceModel{}, opts);
+  orc.set_model("m", tiny_model());
+
+  constexpr std::size_t kRows = 10;
+  Rng rng(11);
+  orc.put_tensor("in", Tensor::randn({kRows, 4}, rng));
+  ASSERT_TRUE(orc.run_model("m", "in", "out").is_ok());
+  const Tensor in = orc.get_tensor("in");
+  const Tensor out = orc.get_tensor("out");
+  ASSERT_EQ(out.rows(), kRows);
+
+  std::vector<std::future<Result<Tensor>>> futures;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    futures.push_back(orc.run_model_batched(
+        "m", Tensor({1, 4}, std::vector<double>(in.row(r).begin(), in.row(r).end()))));
+  }
+  orc.flush_batches();
+  for (std::size_t r = 0; r < kRows; ++r) {
+    Result<Tensor> got = futures[r].get();
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    ASSERT_EQ(got.value().size(), out.cols());
+    EXPECT_EQ(std::memcmp(got.value().data(), out.row(r).data(),
+                          out.cols() * sizeof(double)),
+              0)
+        << "row " << r << " diverged";
+  }
+}
+
 TEST(Batching, CoalescesUpToMaxBatch) {
   OrchestratorOptions opts;
   opts.max_batch = 16;
@@ -567,22 +602,59 @@ TEST(Batching, ModelRemovedBeforeDispatchResolvesTypedStatus) {
   EXPECT_EQ(f2.get().code(), StatusCode::kModelUnavailable);
 }
 
-// A batch the flusher dispatches runs on a serving thread: team of 1 for any
-// work size, and not on the submitting thread.
-TEST(Batching, FlusherBatchesSeeATeamOfOne) {
+// Every batch runs at a team of one for any work size, whichever thread
+// serves it: the flusher, a client whose submit fills the batch, or a keyed
+// caller. The calling thread gets its own budget back afterwards.
+TEST(Orchestrator, EveryBatchRunsAtATeamOfOne) {
   std::atomic<int> team{0};
   std::atomic<bool> on_submitter{true};
   const std::thread::id submitter = std::this_thread::get_id();
-  BatchingQueue queue(
-      [&](const std::string&, const Tensor& batch, const std::vector<obs::SpanContext>&) {
-        team = parallel_team_size(std::size_t{1} << 40, std::size_t{1} << 20);
-        on_submitter = std::this_thread::get_id() == submitter;
-        return BatchingQueue::RowResults(batch.rows(), Result<Tensor>(batch));
-      },
-      BatchingOptions{.max_batch = 32, .flusher = true});
-  ASSERT_TRUE(queue.submit("m", Tensor({1, 4}, {1, 2, 3, 4})).get().is_ok());
-  EXPECT_FALSE(on_submitter.load());
-  EXPECT_EQ(team.load(), 1);
+  auto m = tiny_model();
+  m->encode = [&](const Tensor& x) {
+    team = parallel_team_size(std::size_t{1} << 40, std::size_t{1} << 20);
+    on_submitter = std::this_thread::get_id() == submitter;
+    return x;
+  };
+  const int saved = omp_get_max_threads();
+  // libgomp is not TSan-instrumented: a TSan build keeps the process budget.
+  const int budget = team_test::kThreadSanitizer ? saved : 4;
+  omp_set_num_threads(budget);
+  const Tensor row({1, 4}, {1, 2, 3, 4});
+
+  {  // a partial batch, dispatched by the flusher
+    Orchestrator orc;
+    orc.set_model("m", m);
+    team = 0;
+    ASSERT_TRUE(orc.run_model_batched("m", row).get().is_ok());
+    EXPECT_FALSE(on_submitter.load());
+    EXPECT_EQ(team.load(), 1);
+  }
+  {  // an inline leader: the second submit fills max_batch on this thread
+    OrchestratorOptions opts;
+    opts.max_batch = 2;
+    opts.batch_flusher = false;
+    Orchestrator orc(DeviceModel{}, opts);
+    orc.set_model("m", m);
+    team = 0;
+    auto first = orc.run_model_batched("m", row);
+    auto second = orc.run_model_batched("m", row);
+    ASSERT_TRUE(first.get().is_ok());
+    ASSERT_TRUE(second.get().is_ok());
+    EXPECT_TRUE(on_submitter.load());
+    EXPECT_EQ(team.load(), 1);
+    EXPECT_EQ(omp_get_max_threads(), budget);
+  }
+  {  // a keyed run_model on the caller's thread
+    Orchestrator orc;
+    orc.set_model("m", m);
+    orc.put_tensor("in", row);
+    team = 0;
+    ASSERT_TRUE(orc.run_model("m", "in", "out").is_ok());
+    EXPECT_TRUE(on_submitter.load());
+    EXPECT_EQ(team.load(), 1);
+    EXPECT_EQ(omp_get_max_threads(), budget);
+  }
+  omp_set_num_threads(saved);
 }
 
 // The flusher sleeps while nothing is pending: an idle queue sweeps zero
