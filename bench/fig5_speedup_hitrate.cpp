@@ -25,8 +25,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) cfg.apply(argv[i]);
   const core::AutoHPCnet framework(cfg);
 
+  // "valid HitRate" is the searched model's hit share (ĥ) on the validation
+  // problems that drove the search; HitRate is measured on held-out problems.
   TextTable table({"app", "type", "replaced function", "speedup", "HitRate",
-                   "mean QoI err", "K", "topology"});
+                   "valid HitRate", "mean QoI err", "K", "topology"});
   std::vector<double> speedups;
   for (const std::string& name : apps::application_names()) {
     auto app = apps::make_application(name);
@@ -35,6 +37,7 @@ int main(int argc, char** argv) {
                    app->replaced_function(),
                    TextTable::num(res.evaluation.speedup) + "x",
                    TextTable::num(100.0 * res.evaluation.hit_rate, 1) + "%",
+                   TextTable::num(100.0 * res.model.hit_share, 1) + "%",
                    TextTable::num(res.evaluation.mean_qoi_error, 4),
                    res.model.latent_k > 0 ? std::to_string(res.model.latent_k) : "full",
                    res.model.spec.describe()});

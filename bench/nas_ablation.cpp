@@ -59,7 +59,7 @@ bool same_trajectory(const nas::PopulationResult& a, const nas::PopulationResult
       const nas::SearchStep& sa = wa.steps[s];
       const nas::SearchStep& sb = wb.steps[s];
       if (sa.latent_k != sb.latent_k || !same_spec(sa.spec, sb.spec) ||
-          sa.quality_error != sb.quality_error ||
+          sa.quality_error != sb.quality_error || sa.hit_share != sb.hit_share ||
           sa.modeled_infer_seconds != sb.modeled_infer_seconds) {
         return false;
       }
@@ -67,6 +67,7 @@ bool same_trajectory(const nas::PopulationResult& a, const nas::PopulationResult
   }
   return a.best.latent_k == b.best.latent_k && same_spec(a.best.spec, b.best.spec) &&
          a.best.quality_error == b.best.quality_error &&
+         a.best.hit_share == b.best.hit_share &&
          a.best.modeled_infer_seconds == b.best.modeled_infer_seconds &&
          a.tournaments.size() == b.tournaments.size();
 }

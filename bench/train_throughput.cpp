@@ -61,7 +61,7 @@ nas::SearchTask make_task(std::size_t width, std::size_t samples) {
   std::iota(rows.begin(), rows.end(), samples - 20);
   *holdout = task.data.subset(rows);
   task.evaluate_quality = [holdout](const nas::PipelineModel& pm) {
-    double total = 0.0;
+    std::vector<double> errors(holdout->size());
     for (std::size_t i = 0; i < holdout->size(); ++i) {
       const std::vector<double> feat(holdout->x.row(i).begin(),
                                      holdout->x.row(i).end());
@@ -72,9 +72,9 @@ nas::SearchTask make_task(std::size_t width, std::size_t samples) {
         num += d * d;
         den += holdout->y.at(i, j) * holdout->y.at(i, j);
       }
-      total += std::sqrt(num / (den + 1e-12));
+      errors[i] = std::sqrt(num / (den + 1e-12));
     }
-    return total / static_cast<double>(holdout->size());
+    return errors;
   };
   return task;
 }
@@ -144,12 +144,14 @@ int main() {
   bool identical = pooled.steps.size() == serial.steps.size() &&
                    pooled.found_feasible == serial.found_feasible &&
                    pooled.best.quality_error == serial.best.quality_error &&
+                   pooled.best.hit_share == serial.best.hit_share &&
                    pooled.best.latent_k == serial.best.latent_k;
   for (std::size_t i = 0; identical && i < serial.steps.size(); ++i) {
     identical = pooled.steps[i].latent_k == serial.steps[i].latent_k &&
                 pooled.steps[i].spec.num_layers == serial.steps[i].spec.num_layers &&
                 pooled.steps[i].spec.hidden_units == serial.steps[i].spec.hidden_units &&
-                pooled.steps[i].quality_error == serial.steps[i].quality_error;
+                pooled.steps[i].quality_error == serial.steps[i].quality_error &&
+                pooled.steps[i].hit_share == serial.steps[i].hit_share;
   }
 
   TextTable table({"stage", "baseline (s)", "optimized (s)", "speedup"});

@@ -131,9 +131,8 @@ int main() {
   // Quality probe: fresh perturbed injections each call.
   auto probe_rng = std::make_shared<Rng>(99);
   task.evaluate_quality = [&, probe_rng](const nas::PipelineModel& pm) {
-    double total = 0.0;
-    const int kProbes = 12;
-    for (int i = 0; i < kProbes; ++i) {
+    std::vector<double> errors(12);
+    for (double& error : errors) {
       std::vector<double> p = base_injections;
       for (double& v : p) v = probe_rng->gaussian(v, 0.2 * std::abs(v) + 0.02);
       const std::vector<double> exact = power_flow(b_matrix, p);
@@ -143,9 +142,9 @@ int main() {
         num += (pred[j] - exact[j]) * (pred[j] - exact[j]);
         den += exact[j] * exact[j];
       }
-      total += std::sqrt(num / (den + 1e-30));
+      error = std::sqrt(num / (den + 1e-30));
     }
-    return total / kProbes;
+    return errors;
   };
 
   nas::NasOptions opts;

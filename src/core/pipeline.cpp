@@ -34,6 +34,7 @@ nas::SearchTask AutoHPCnet::make_task(const apps::Application& app, nn::Dataset 
   task.data = std::move(data);
   task.device = runtime::DeviceModel{};
   task.quality_bound = config_.quality_loss;
+  task.mu = config_.mu;
   task.encoding_loss_bound = config_.encoding_loss;
   task.train = config_.train_options();
   task.space.allow_cnn = config_.init_model == nn::ModelKind::Cnn;
@@ -47,23 +48,33 @@ nas::SearchTask AutoHPCnet::make_task(const apps::Application& app, nn::Dataset 
   }
 
   // Cache exact outputs + features for the validation problems once; the
-  // quality callback replays the candidate pipeline against them.
+  // quality callback replays the candidate pipeline against them. The same
+  // exact runs price T_exact: the mean modeled cost of the region's analytic
+  // op counts on the device, never its wall time, so the search stays
+  // deterministic (region_ops is a delta of the process-wide FlopCounter:
+  // no other thread may run counted kernels meanwhile).
   auto cache = std::make_shared<std::vector<std::pair<std::vector<double>,
                                                       std::vector<double>>>>();
   cache->reserve(valid_problems.size());
+  double exact_seconds = 0.0;
   for (std::size_t p : valid_problems) {
-    cache->emplace_back(app.input_features(p), app.run_region(p).outputs);
+    apps::RegionRun run = app.run_region(p);
+    exact_seconds +=
+        task.device.kernel_seconds(run.region_ops, runtime::sparse_solver_profile());
+    cache->emplace_back(app.input_features(p), std::move(run.outputs));
+  }
+  if (!valid_problems.empty()) {
+    task.exact_seconds = exact_seconds / static_cast<double>(valid_problems.size());
   }
   const apps::Application* app_ptr = &app;
   const std::vector<std::size_t> valid(valid_problems.begin(), valid_problems.end());
   task.evaluate_quality = [cache, app_ptr, valid](const nas::PipelineModel& pm) {
-    double total = 0.0;
+    std::vector<double> errors(cache->size());
     for (std::size_t i = 0; i < cache->size(); ++i) {
       const auto& [features, exact] = (*cache)[i];
-      const std::vector<double> pred = pm.infer(features);
-      total += app_ptr->qoi_error(valid[i], exact, pred);
+      errors[i] = app_ptr->qoi_error(valid[i], exact, pm.infer(features));
     }
-    return total / static_cast<double>(cache->size());
+    return errors;
   };
   return task;
 }

@@ -49,7 +49,8 @@ class AutoHPCnet {
                                             std::span<const std::size_t> problems) const;
 
   /// Builds the search task for `app` (quality callback over validation
-  /// problems, device model, Table-1 bounds). `sparse_storage` receives the
+  /// problems, device model, Table-1 bounds, mu, and T_exact priced from the
+  /// validation problems' exact runs). `sparse_storage` receives the
   /// CSR view when the app has sparse inputs and must outlive the task.
   [[nodiscard]] nas::SearchTask make_task(const apps::Application& app,
                                           nn::Dataset data,

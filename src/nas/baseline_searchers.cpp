@@ -60,6 +60,7 @@ SearchStep step_from(const PipelineModel& pm, double elapsed, std::size_t outer 
   s.spec = pm.spec;
   s.quality_error = pm.quality_error;
   s.modeled_infer_seconds = pm.modeled_infer_seconds;
+  s.hit_share = pm.hit_share;
   s.elapsed_seconds = elapsed;
   return s;
 }
@@ -197,23 +198,16 @@ NasResult FlatJointNas::search(const SearchTask& task) const {
     if (!ae_rep.meets_bound) {
       constraint = std::max(constraint, task.quality_bound * 2.0 + ae_rep.miss_fraction);
     }
-    bo.observe({x, pm.modeled_infer_seconds, constraint});
+    bo.observe({x, task.expected_online_seconds(pm), constraint});
 
     SearchStep step = step_from(pm, step_timer.seconds());
     step.encoding_miss = ae_rep.miss_fraction;
     result.steps.push_back(step);
 
-    const bool pm_feasible = pm.quality_error <= task.quality_bound;
-    const bool best_feasible =
-        result.best.surrogate.net.layer_count() > 0 &&
-        result.best.quality_error <= task.quality_bound;
-    const bool take = result.best.surrogate.net.layer_count() == 0 ||
-                      (pm_feasible && !best_feasible) ||
-                      (pm_feasible == best_feasible &&
-                       (pm_feasible
-                            ? pm.modeled_infer_seconds < result.best.modeled_infer_seconds
-                            : pm.quality_error < result.best.quality_error));
-    if (take) result.best = std::move(pm);
+    if (result.best.surrogate.net.layer_count() == 0 ||
+        better_pipeline(pm, result.best, task)) {
+      result.best = std::move(pm);
+    }
   }
   result.found_feasible = result.best.quality_error <= task.quality_bound;
   result.search_seconds = total.seconds();

@@ -60,9 +60,9 @@ Elite elite_of(const WorkerState& w) {
   return e;
 }
 
-void absorb(WorkerState& w, InnerOutcome&& inner, double bound) {
+void absorb(WorkerState& w, InnerOutcome&& inner, const SearchTask& task) {
   w.steps.insert(w.steps.end(), inner.steps.begin(), inner.steps.end());
-  if (!w.has_best() || better_pipeline(inner.best, w.best, bound)) {
+  if (!w.has_best() || better_pipeline(inner.best, w.best, task)) {
     w.best = std::move(inner.best);
   }
 }
@@ -170,7 +170,7 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
       InnerOutcome inner = inner_topology_search(nas, task, task.data, nullptr, 0.0,
                                                  round, w.rng, w.memo);
       w.adopted.reset();
-      absorb(w, std::move(inner), task.quality_bound);
+      absorb(w, std::move(inner), task);
       return;
     }
 
@@ -180,7 +180,7 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
       InnerOutcome full =
           inner_topology_search(nas, task, task.data, nullptr, 0.0, 0, w.rng, w.memo,
                                 std::min<std::size_t>(2, nas.inner_iterations));
-      absorb(w, std::move(full), task.quality_bound);
+      absorb(w, std::move(full), task);
       gp::BoOptions outer_opts;
       outer_opts.dim = 1;
       outer_opts.constraint_threshold = task.quality_bound;
@@ -203,9 +203,9 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
     w.adopted.reset();
 
     OuterIterate iterate = run_outer_iterate(nas, task, k, round, w.rng, w.memo);
-    w.outer->observe({xk, iterate.inner.best.modeled_infer_seconds,
+    w.outer->observe({xk, task.expected_online_seconds(iterate.inner.best),
                       iterate.outer_constraint});
-    absorb(w, std::move(iterate.inner), task.quality_bound);
+    absorb(w, std::move(iterate.inner), task);
   };
 
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -235,7 +235,7 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
       WorkerState& wb = workers[b];
       if (!wa.has_best() || !wb.has_best()) continue;
       // `a` defends ties: only a strictly better `b` wins.
-      const bool b_wins = better_pipeline(wb.best, wa.best, task.quality_bound);
+      const bool b_wins = better_pipeline(wb.best, wa.best, task);
       WorkerState& winner = b_wins ? wb : wa;
       WorkerState& loser = b_wins ? wa : wb;
       TournamentRecord rec;
@@ -259,8 +259,7 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
   }
   std::size_t best_worker = 0;
   for (std::size_t w = 1; w < population; ++w) {
-    if (better_pipeline(result.workers[w].best, result.workers[best_worker].best,
-                        task.quality_bound)) {
+    if (better_pipeline(result.workers[w].best, result.workers[best_worker].best, task)) {
       best_worker = w;
     }
   }
@@ -284,12 +283,13 @@ runtime::RetrainCandidateFn make_population_train_fn(PopulationOptions options,
     task.data = data;
     task.train = train;
     task.quality_bound = quality_bound;
-    // f_e for the retrain search: relative error on the labeled reservoir
-    // itself (the freshest ground truth available mid-drift).
+    // f_e for the retrain search: per-row relative error on the labeled
+    // reservoir itself (the freshest ground truth available mid-drift). No
+    // exact region is priced here, so candidates rank by f_c.
     task.evaluate_quality = [&task](const PipelineModel& pm) {
       const Tensor features = pm.encoder != nullptr ? pm.encoder->encode(task.data.x)
                                                     : task.data.x;
-      return nn::mean_relative_error(pm.surrogate.predict(features), task.data.y);
+      return nn::row_relative_errors(pm.surrogate.predict(features), task.data.y);
     };
 
     const PopulationResult res = PopulationSearch(options).search(task);

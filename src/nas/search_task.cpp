@@ -10,6 +10,34 @@ std::vector<double> PipelineModel::infer(std::span<const double> features) const
   return {pred.row(0).begin(), pred.row(0).end()};
 }
 
+bool better_pipeline(const PipelineModel& a, const PipelineModel& b,
+                     const SearchTask& task) {
+  const bool fa = a.quality_error <= task.quality_bound;
+  const bool fb = b.quality_error <= task.quality_bound;
+  if (fa != fb) return fa;
+  if (fa) return task.expected_online_seconds(a) < task.expected_online_seconds(b);
+  return a.quality_error < b.quality_error;
+}
+
+namespace {
+
+/// f_e and ĥ of `pm` from one replay of the validation problems.
+void score_quality(const SearchTask& task, PipelineModel& pm) {
+  const std::vector<double> errors = task.evaluate_quality(pm);
+  AHN_CHECK(!errors.empty());
+  double total = 0.0;
+  std::size_t hits = 0;
+  for (const double e : errors) {
+    total += e;
+    if (e <= task.mu) ++hits;
+  }
+  const auto n = static_cast<double>(errors.size());
+  pm.quality_error = total / n;
+  pm.hit_share = static_cast<double>(hits) / n;
+}
+
+}  // namespace
+
 PipelineModel evaluate_candidate(const SearchTask& task, const nn::TopologySpec& spec,
                                  std::shared_ptr<const autoencoder::Autoencoder> encoder,
                                  const nn::Dataset& reduced_data, Rng rng) {
@@ -29,8 +57,8 @@ PipelineModel evaluate_candidate(const SearchTask& task, const nn::TopologySpec&
   pm.modeled_infer_seconds =
       task.device.kernel_seconds(ops, runtime::nn_inference_profile());
 
-  // f_e: application-level quality degradation.
-  pm.quality_error = task.evaluate_quality(pm);
+  // f_e and ĥ: application-level quality degradation.
+  score_quality(task, pm);
 
   if (!task.search_precision) return pm;
 
@@ -49,15 +77,8 @@ PipelineModel evaluate_candidate(const SearchTask& task, const nn::TopologySpec&
                                      runtime::nn_inference_profile());
   }
   qpm.modeled_infer_seconds = qt;
-  qpm.quality_error = task.evaluate_quality(qpm);
-
-  const bool fp_ok = pm.quality_error <= task.quality_bound;
-  const bool q_ok = qpm.quality_error <= task.quality_bound;
-  // Same dominance rule the searchers use: feasibility first, then f_c.
-  if (q_ok && (!fp_ok || qpm.modeled_infer_seconds < pm.modeled_infer_seconds)) {
-    return qpm;
-  }
-  return pm;
+  score_quality(task, qpm);
+  return better_pipeline(qpm, pm, task) ? qpm : pm;
 }
 
 std::function<nn::TrainedSurrogate(const nn::TrainedSurrogate&, const nn::Dataset&)>

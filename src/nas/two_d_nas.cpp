@@ -71,14 +71,6 @@ std::size_t decode_latent_k(double x, std::size_t k_min, std::size_t k_max) {
   return std::clamp<std::size_t>(static_cast<std::size_t>(std::round(v)), k_min, k_max);
 }
 
-bool better_pipeline(const PipelineModel& a, const PipelineModel& b, double bound) {
-  const bool fa = a.quality_error <= bound;
-  const bool fb = b.quality_error <= bound;
-  if (fa != fb) return fa;
-  if (fa) return a.modeled_infer_seconds < b.modeled_infer_seconds;
-  return a.quality_error < b.quality_error;
-}
-
 InnerOutcome inner_topology_search(
     const NasOptions& options, const SearchTask& task, const nn::Dataset& reduced,
     std::shared_ptr<const autoencoder::Autoencoder> encoder, double encoding_miss,
@@ -120,19 +112,20 @@ InnerOutcome inner_topology_search(
 
   auto record = [&](const PipelineModel& pm, const std::vector<double>& x,
                     const nn::TopologySpec& spec, double elapsed) {
-    bo.observe({x, pm.modeled_infer_seconds, pm.quality_error});
+    bo.observe({x, task.expected_online_seconds(pm), pm.quality_error});
     SearchStep step;
     step.outer_iteration = outer_iter;
     step.latent_k = pm.latent_k;
     step.spec = spec;
     step.quality_error = pm.quality_error;
     step.modeled_infer_seconds = pm.modeled_infer_seconds;
+    step.hit_share = pm.hit_share;
     step.encoding_miss = encoding_miss;
     step.elapsed_seconds = elapsed;
     step.precision = pm.precision;
     outcome.steps.push_back(step);
     if (outcome.best.surrogate.net.layer_count() == 0 ||
-        better_pipeline(pm, outcome.best, task.quality_bound)) {
+        better_pipeline(pm, outcome.best, task)) {
       outcome.best = pm;
     }
   };
@@ -311,7 +304,7 @@ NasResult TwoDNas::search_from(const SearchTask& task,
 
   // Reference arm: one inner search with NO feature reduction, so the outer
   // loop only adopts an autoencoder when reduction actually wins on
-  // (f_c, f_e) — mirroring the fullInput option of Table 1's searchType.
+  // (E, f_e) — mirroring the fullInput option of Table 1's searchType.
   {
     // Wide full-width candidates are the expensive ones to train; a short
     // reference arm (2 evaluations) is enough to anchor the comparison.
@@ -332,7 +325,8 @@ NasResult TwoDNas::search_from(const SearchTask& task,
   for (const SearchStep& s : prior) {
     if (s.latent_k > 0) {
       outer.observe({{encode_latent_k(s.latent_k, k_min, k_max)},
-                     s.modeled_infer_seconds, s.quality_error});
+                     task.expected_online_seconds(s.modeled_infer_seconds, s.hit_share),
+                     s.quality_error});
     }
   }
 
@@ -350,17 +344,18 @@ NasResult TwoDNas::search_from(const SearchTask& task,
     InnerOutcome& inner = iterate.inner;
     result.steps.insert(result.steps.end(), inner.steps.begin(), inner.steps.end());
 
-    outer.observe({xk, inner.best.modeled_infer_seconds, iterate.outer_constraint});
+    outer.observe({xk, task.expected_online_seconds(inner.best), iterate.outer_constraint});
 
     if (result.best.surrogate.net.layer_count() == 0 ||
-        better_pipeline(inner.best, result.best, task.quality_bound)) {
+        better_pipeline(inner.best, result.best, task)) {
       result.best = std::move(inner.best);
     }
 
     // Stagnation-based termination (§5.2).
     const bool feasible = result.best.quality_error <= task.quality_bound;
-    if (feasible && result.best.modeled_infer_seconds < best_objective * 0.99) {
-      best_objective = result.best.modeled_infer_seconds;
+    const double objective = task.expected_online_seconds(result.best);
+    if (feasible && objective < best_objective * 0.99) {
+      best_objective = objective;
       stale = 0;
     } else if (feasible && ++stale >= options_.patience) {
       break;
@@ -382,7 +377,7 @@ void TwoDNas::save_checkpoint(std::ostream& os, const NasResult& partial) {
        << s.spec.pool << " " << (s.spec.residual ? 1 : 0) << " "
        << static_cast<int>(s.spec.act) << " " << s.quality_error << " "
        << s.modeled_infer_seconds << " " << s.encoding_miss << " "
-       << s.elapsed_seconds << "\n";
+       << s.elapsed_seconds << " " << s.hit_share << "\n";
   }
 }
 
@@ -397,7 +392,7 @@ std::vector<SearchStep> TwoDNas::load_checkpoint(std::istream& is) {
     is >> s.outer_iteration >> s.latent_k >> kind >> s.spec.num_layers >>
         s.spec.hidden_units >> s.spec.channels >> s.spec.kernel >> s.spec.pool >>
         residual >> act >> s.quality_error >> s.modeled_infer_seconds >>
-        s.encoding_miss >> s.elapsed_seconds;
+        s.encoding_miss >> s.elapsed_seconds >> s.hit_share;
     AHN_CHECK_MSG(static_cast<bool>(is), "truncated NAS checkpoint");
     s.spec.kind = static_cast<nn::ModelKind>(kind);
     s.spec.residual = residual != 0;

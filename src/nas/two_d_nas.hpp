@@ -3,7 +3,8 @@
 // optimization whose outer loop tunes the input dimension K (training a
 // fresh autoencoder per proposal) and whose inner loop tunes the surrogate
 // topology theta on the K-reduced features. The two loops coordinate: the
-// inner loop returns the best (f_c, f_e) for the outer GP to respond to.
+// inner loop returns the best (E, f_e) for the outer GP to respond to, where
+// E = f_c + (1 − ĥ)·T_exact is the expected online time per problem.
 //
 // Keeping K and theta in separate GPs is the paper's fix for the broken
 // Euclidean semantics of concatenating feature-count and topology knobs in
@@ -58,6 +59,7 @@ struct SearchStep {
   nn::TopologySpec spec;
   double quality_error = 0.0;
   double modeled_infer_seconds = 0.0;
+  double hit_share = 0.0;      ///< ĥ on the validation problems
   double encoding_miss = 0.0;  ///< Eqn-1 miss fraction of the iteration's AE
   double elapsed_seconds = 0.0;
   /// Execution mode the candidate was accepted at (kInt8 only when the task
@@ -94,12 +96,6 @@ using EvalMemo = std::unordered_map<std::string, PipelineModel>;
 /// clamps to [k_min, k_max], so any perturbed encoding stays in bounds.
 [[nodiscard]] double encode_latent_k(std::size_t k, std::size_t k_min, std::size_t k_max);
 [[nodiscard]] std::size_t decode_latent_k(double x, std::size_t k_min, std::size_t k_max);
-
-/// `a` dominates `b` as the searchers' incumbent: feasibility first, then
-/// objective (modeled inference time), then quality. Also the LTFB
-/// tournament verdict.
-[[nodiscard]] bool better_pipeline(const PipelineModel& a, const PipelineModel& b,
-                                   double bound);
 
 /// One inner BO over topology theta on (optionally reduced) features.
 /// Proposal drafting, Rng forking and memoization run on the caller's

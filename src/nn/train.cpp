@@ -195,10 +195,10 @@ TrainedSurrogate train_surrogate(Network net, const Dataset& data,
   return out;
 }
 
-double mean_relative_error(const Tensor& pred, const Tensor& target) {
+std::vector<double> row_relative_errors(const Tensor& pred, const Tensor& target) {
   AHN_CHECK(pred.rows() == target.rows() && pred.cols() == target.cols());
   AHN_CHECK(pred.rows() > 0);
-  double total = 0.0;
+  std::vector<double> errors(pred.rows());
   for (std::size_t r = 0; r < pred.rows(); ++r) {
     double num = 0.0, den = 0.0;
     for (std::size_t c = 0; c < pred.cols(); ++c) {
@@ -206,9 +206,16 @@ double mean_relative_error(const Tensor& pred, const Tensor& target) {
       num += d * d;
       den += target.at(r, c) * target.at(r, c);
     }
-    total += std::sqrt(num) / (std::sqrt(den) + 1e-12);
+    errors[r] = std::sqrt(num) / (std::sqrt(den) + 1e-12);
   }
-  return total / static_cast<double>(pred.rows());
+  return errors;
+}
+
+double mean_relative_error(const Tensor& pred, const Tensor& target) {
+  const std::vector<double> errors = row_relative_errors(pred, target);
+  double total = 0.0;
+  for (const double e : errors) total += e;
+  return total / static_cast<double>(errors.size());
 }
 
 }  // namespace ahn::nn

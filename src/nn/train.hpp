@@ -5,6 +5,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/network.hpp"
@@ -96,8 +97,12 @@ struct TrainedSurrogate {
 [[nodiscard]] TrainedSurrogate train_surrogate(Network net, const Dataset& data,
                                                const TrainOptions& opts);
 
-/// Mean relative L2 error of predictions vs targets per sample — the model
-/// quality signal the NAS feeds the Bayesian optimizer.
+/// Relative L2 error of predictions vs targets, one per sample (row).
+[[nodiscard]] std::vector<double> row_relative_errors(const Tensor& pred,
+                                                      const Tensor& target);
+
+/// Mean of row_relative_errors — the model quality signal the NAS feeds
+/// the Bayesian optimizer.
 [[nodiscard]] double mean_relative_error(const Tensor& pred, const Tensor& target);
 
 }  // namespace ahn::nn

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "apps/registry.hpp"
@@ -186,6 +187,53 @@ TEST(Pipeline, MiniEndToEndOnMg) {
   EXPECT_EQ(res.eval_problems.size(), 12u);
   EXPECT_GE(res.evaluation.hit_rate, 0.0);
   EXPECT_LE(res.evaluation.hit_rate, 1.0);
+}
+
+TEST(Pipeline, MakeTaskCountsHitShareAtMuAndPricesExactRegion) {
+  Config cfg;
+  cfg.mu = 0.07;  // off the 0.1 default, so the task must carry it
+  cfg.num_epoch = 20;
+  const AutoHPCnet framework(cfg);
+  auto app = apps::make_application("Canneal");
+  app->generate_problems(40, 5);
+  std::vector<std::size_t> train(32), valid(8);
+  std::iota(train.begin(), train.end(), 0);
+  std::iota(valid.begin(), valid.end(), 32);
+
+  std::shared_ptr<sparse::Csr> storage_a, storage_b;
+  const nas::SearchTask a =
+      framework.make_task(*app, framework.acquire_samples(*app, train), valid, storage_a);
+  const nas::SearchTask b =
+      framework.make_task(*app, framework.acquire_samples(*app, train), valid, storage_b);
+
+  // T_exact: the mean modeled cost of the validation problems' exact runs,
+  // priced from analytic op counts, so two calls agree bitwise.
+  double exact = 0.0;
+  for (std::size_t p : valid) {
+    exact += runtime::DeviceModel{}.kernel_seconds(app->run_region(p).region_ops,
+                                                   runtime::sparse_solver_profile());
+  }
+  exact /= static_cast<double>(valid.size());
+  EXPECT_GT(a.exact_seconds, 0.0);
+  EXPECT_EQ(a.exact_seconds, exact);
+  EXPECT_EQ(a.exact_seconds, b.exact_seconds);
+  EXPECT_EQ(a.mu, cfg.mu);
+
+  // ĥ is the share of validation problems within mu, from the same replay
+  // that yields f_e.
+  nn::TopologySpec spec;
+  spec.num_layers = 1;
+  spec.hidden_units = 16;
+  spec.act = nn::Activation::Identity;
+  const nas::PipelineModel pm = nas::evaluate_candidate(a, spec, nullptr, a.data, Rng(9));
+  const std::vector<double> errors = a.evaluate_quality(pm);
+  ASSERT_EQ(errors.size(), valid.size());
+  const auto hits = std::count_if(errors.begin(), errors.end(),
+                                  [&](double e) { return e <= cfg.mu; });
+  EXPECT_EQ(pm.hit_share, static_cast<double>(hits) / static_cast<double>(valid.size()));
+  EXPECT_EQ(pm.quality_error,
+            std::accumulate(errors.begin(), errors.end(), 0.0) /
+                static_cast<double>(valid.size()));
 }
 
 TEST(Pipeline, AcquireSamplesShapes) {

@@ -52,7 +52,7 @@ SearchTask make_synthetic_task(std::size_t width, std::size_t samples = 160) {
   *holdout = task.data.subset(rows);
 
   task.evaluate_quality = [holdout](const PipelineModel& pm) {
-    double total = 0.0;
+    std::vector<double> errors(holdout->size());
     for (std::size_t i = 0; i < holdout->size(); ++i) {
       const std::vector<double> feat(holdout->x.row(i).begin(), holdout->x.row(i).end());
       const std::vector<double> pred = pm.infer(feat);
@@ -62,9 +62,9 @@ SearchTask make_synthetic_task(std::size_t width, std::size_t samples = 160) {
         num += d * d;
         den += holdout->y.at(i, j) * holdout->y.at(i, j);
       }
-      total += std::sqrt(num / (den + 1e-30));
+      errors[i] = std::sqrt(num / (den + 1e-30));
     }
-    return total / static_cast<double>(holdout->size());
+    return errors;
   };
   task.quality_bound = 0.2;
   task.train.epochs = 60;
@@ -84,6 +84,135 @@ TEST(EvaluateCandidate, FillsObjectives) {
   EXPECT_LT(pm.quality_error, 0.5);
   EXPECT_GT(pm.modeled_infer_seconds, 0.0);
   EXPECT_EQ(pm.latent_k, 0u);
+}
+
+TEST(EvaluateCandidate, DerivesMeanErrorAndHitShareFromOneReplay) {
+  SearchTask task = make_synthetic_task(12);
+  std::size_t calls = 0;
+  task.evaluate_quality = [&calls](const PipelineModel&) {
+    ++calls;
+    return std::vector<double>{0.02, 0.3, 0.1, 0.05};
+  };
+  task.mu = 0.1;
+  nn::TopologySpec spec;
+  spec.num_layers = 1;
+  spec.hidden_units = 8;
+  const PipelineModel pm = evaluate_candidate(task, spec, nullptr, task.data, Rng(3));
+  EXPECT_EQ(calls, 1u);
+  EXPECT_DOUBLE_EQ(pm.quality_error, (0.02 + 0.3 + 0.1 + 0.05) / 4.0);
+  EXPECT_DOUBLE_EQ(pm.hit_share, 0.75);  // 0.1 itself is within mu
+}
+
+// --------------------------------------------- the one search comparator
+
+PipelineModel scored(double quality_error, double infer_seconds, double hit_share) {
+  PipelineModel pm;
+  pm.quality_error = quality_error;
+  pm.modeled_infer_seconds = infer_seconds;
+  pm.hit_share = hit_share;
+  return pm;
+}
+
+SearchTask comparator_task(double exact_seconds) {
+  SearchTask task;
+  task.quality_bound = 0.1;
+  task.exact_seconds = exact_seconds;
+  return task;
+}
+
+TEST(BetterPipeline, HigherHitShareBeatsCheaperInferenceOnceMissesCost) {
+  // Canneal's shape: the full-input model costs 0.01 us more per call but
+  // misses one validation problem in twenty instead of two.
+  const SearchTask task = comparator_task(9.87e-6);
+  const PipelineModel fewer_misses = scored(0.040, 8.04e-6, 0.95);
+  const PipelineModel cheaper = scored(0.046, 8.03e-6, 0.90);
+  EXPECT_NEAR(task.expected_online_seconds(fewer_misses), 8.5335e-6, 1e-12);
+  EXPECT_NEAR(task.expected_online_seconds(cheaper), 9.017e-6, 1e-12);
+  EXPECT_TRUE(better_pipeline(fewer_misses, cheaper, task));
+  EXPECT_FALSE(better_pipeline(cheaper, fewer_misses, task));
+}
+
+TEST(BetterPipeline, EqualHitShareFallsBackToInferenceTime) {
+  const SearchTask task = comparator_task(9.87e-6);
+  const PipelineModel fast = scored(0.09, 5e-6, 0.9);
+  const PipelineModel slow = scored(0.01, 6e-6, 0.9);
+  EXPECT_TRUE(better_pipeline(fast, slow, task));
+  EXPECT_FALSE(better_pipeline(slow, fast, task));
+  EXPECT_FALSE(better_pipeline(fast, fast, task));
+}
+
+TEST(BetterPipeline, NoExactRegionRanksFeasibleByInferenceTimeAlone) {
+  const SearchTask task = comparator_task(0.0);
+  const std::vector<PipelineModel> models = {
+      scored(0.040, 8.04e-6, 0.95), scored(0.046, 8.03e-6, 0.90),
+      scored(0.099, 2e-6, 0.10),    scored(0.300, 1e-6, 0.00),
+      scored(0.250, 9e-6, 0.60),    scored(0.100, 8.03e-6, 1.00)};
+  for (const PipelineModel& a : models) {
+    for (const PipelineModel& b : models) {
+      const bool fa = a.quality_error <= task.quality_bound;
+      const bool fb = b.quality_error <= task.quality_bound;
+      const bool f_c_rule =
+          fa != fb ? fa
+                   : (fa ? a.modeled_infer_seconds < b.modeled_infer_seconds
+                         : a.quality_error < b.quality_error);
+      EXPECT_EQ(better_pipeline(a, b, task), f_c_rule);
+    }
+    EXPECT_EQ(task.expected_online_seconds(a), a.modeled_infer_seconds);
+  }
+}
+
+TEST(BetterPipeline, InfeasibleCandidatesRankByQualityError) {
+  const SearchTask task = comparator_task(1e-3);
+  const PipelineModel closer = scored(0.15, 9e-6, 0.10);
+  const PipelineModel more_hits = scored(0.20, 1e-6, 0.80);
+  EXPECT_TRUE(better_pipeline(closer, more_hits, task));
+  EXPECT_FALSE(better_pipeline(more_hits, closer, task));
+  // Feasibility still comes first, whatever E says.
+  const PipelineModel feasible = scored(0.10, 9e-6, 0.0);
+  EXPECT_TRUE(better_pipeline(feasible, more_hits, task));
+  EXPECT_FALSE(better_pipeline(more_hits, feasible, task));
+}
+
+/// Rebuilds the objectives a search step recorded, for comparator checks.
+PipelineModel scored(const SearchStep& s) {
+  return scored(s.quality_error, s.modeled_infer_seconds, s.hit_share);
+}
+
+/// No feasible step of `res` has a lower expected online time than its pick.
+void expect_best_minimizes_expected_time(const NasResult& res, const SearchTask& task) {
+  ASSERT_TRUE(res.found_feasible);
+  const double best = task.expected_online_seconds(res.best);
+  for (const SearchStep& s : res.steps) {
+    if (s.quality_error > task.quality_bound) continue;
+    EXPECT_GE(task.expected_online_seconds(scored(s)), best)
+        << "K=" << s.latent_k << " " << s.spec.describe();
+    EXPECT_FALSE(better_pipeline(scored(s), res.best, task));
+  }
+}
+
+TEST(TwoDNas, PicksTheLowestExpectedOnlineTime) {
+  SearchTask task = make_synthetic_task(16);
+  task.exact_seconds = 1e-3;  // a miss costs ~100 inferences
+  NasOptions opts;
+  opts.outer_iterations = 2;
+  opts.inner_iterations = 3;
+  opts.k_min = 2;
+  opts.k_max = 12;
+  opts.ae_epochs = 30;
+  const NasResult res = TwoDNas(opts).search(task);
+  expect_best_minimizes_expected_time(res, task);
+}
+
+TEST(FlatJointNas, PicksTheLowestExpectedOnlineTime) {
+  SearchTask task = make_synthetic_task(16);
+  task.exact_seconds = 1e-3;
+  FlatJointOptions opts;
+  opts.iterations = 4;
+  opts.k_min = 2;
+  opts.k_max = 12;
+  opts.ae_epochs = 30;
+  const NasResult res = FlatJointNas(opts).search(task);
+  expect_best_minimizes_expected_time(res, task);
 }
 
 TEST(PipelineModel, InferMatchesSurrogatePredict) {
@@ -158,6 +287,7 @@ TEST(TwoDNas, CheckpointRoundTrip) {
     EXPECT_EQ(loaded[i].spec.hidden_units, res.steps[i].spec.hidden_units);
     EXPECT_EQ(loaded[i].spec.act, res.steps[i].spec.act);
     EXPECT_DOUBLE_EQ(loaded[i].quality_error, res.steps[i].quality_error);
+    EXPECT_DOUBLE_EQ(loaded[i].hit_share, res.steps[i].hit_share);
   }
 }
 
@@ -558,7 +688,7 @@ TEST(Accept, TrainsFixedTopology) {
     nas::SearchTask t;
     t.data.x = Tensor::randn({80, 10}, rng);
     t.data.y = ops::matmul(t.data.x, Tensor::randn({10, 2}, rng));
-    t.evaluate_quality = [](const nas::PipelineModel&) { return 0.05; };
+    t.evaluate_quality = [](const nas::PipelineModel&) { return std::vector<double>{0.05}; };
     t.train.epochs = 20;
     return t;
   }();

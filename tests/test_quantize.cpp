@@ -471,7 +471,7 @@ TEST(NasPrecision, EvaluateCandidatePicksInt8WhenFeasible) {
   nas::SearchTask task;
   task.data.x = gaussian_batch(48, 6, 71);
   task.data.y = gaussian_batch(48, 2, 72);
-  task.evaluate_quality = [](const nas::PipelineModel&) { return 0.05; };
+  task.evaluate_quality = [](const nas::PipelineModel&) { return std::vector<double>{0.05}; };
   task.quality_bound = 0.1;
   task.train.epochs = 2;
   task.search_precision = true;
@@ -493,7 +493,7 @@ TEST(NasPrecision, StaysFp32WhenQuantizedInfeasible) {
   task.data.y = gaussian_batch(48, 2, 75);
   // Quality oracle that rejects quantized candidates only.
   task.evaluate_quality = [](const nas::PipelineModel& pm) {
-    return pm.precision == nn::Precision::kInt8 ? 0.9 : 0.05;
+    return std::vector<double>{pm.precision == nn::Precision::kInt8 ? 0.9 : 0.05};
   };
   task.quality_bound = 0.1;
   task.train.epochs = 2;
@@ -507,6 +507,36 @@ TEST(NasPrecision, StaysFp32WhenQuantizedInfeasible) {
       nas::evaluate_candidate(task, spec, nullptr, task.data, Rng(76));
   EXPECT_EQ(pm.precision, nn::Precision::kFp32);
   EXPECT_EQ(pm.surrogate.net.precision(), nn::Precision::kFp32);
+}
+
+TEST(NasPrecision, StaysFp32WhenInt8MissesCostMoreThanItSaves) {
+  nas::SearchTask task;
+  task.data.x = gaussian_batch(48, 6, 74);
+  task.data.y = gaussian_batch(48, 2, 75);
+  // Both modes are feasible (mean f_e 0.05 and 0.1), but int8 misses one
+  // validation problem of two at mu, and each miss costs a 1 ms exact run.
+  task.evaluate_quality = [](const nas::PipelineModel& pm) {
+    return pm.precision == nn::Precision::kInt8 ? std::vector<double>{0.05, 0.15}
+                                                : std::vector<double>{0.05, 0.05};
+  };
+  task.quality_bound = 0.1;
+  task.exact_seconds = 1e-3;
+  task.train.epochs = 2;
+  task.search_precision = true;
+  task.quant.probe_kernels = false;
+
+  nn::TopologySpec spec;
+  spec.num_layers = 1;
+  spec.hidden_units = 8;
+  const nas::PipelineModel pm =
+      nas::evaluate_candidate(task, spec, nullptr, task.data, Rng(76));
+  EXPECT_EQ(pm.precision, nn::Precision::kFp32);
+  EXPECT_EQ(pm.hit_share, 1.0);
+
+  // With no exact region to pay for, the cheaper int8 mode wins as before.
+  task.exact_seconds = 0.0;
+  EXPECT_EQ(nas::evaluate_candidate(task, spec, nullptr, task.data, Rng(76)).precision,
+            nn::Precision::kInt8);
 }
 
 TEST(NasPrecision, TrainFnEmitsQuantizedCandidate) {
