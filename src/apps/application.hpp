@@ -62,7 +62,10 @@ class Application {
   [[nodiscard]] virtual sparse::Csr sparse_input_batch(
       std::span<const std::size_t> problems) const;
 
-  /// Runs the exact code region on problem i.
+  /// Runs the exact code region on problem i. Must be safe to call
+  /// concurrently for different problems, and give each problem the same
+  /// outputs whatever runs beside it: AutoHPCnet::acquire_samples runs the
+  /// training problems in parallel. No app keeps mutable state across calls.
   [[nodiscard]] virtual RegionRun run_region(std::size_t i) const = 0;
 
   /// Loop-perforated variant of the region (the HPAC-style baseline):

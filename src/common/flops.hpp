@@ -7,7 +7,6 @@
 // through this counter; the device model (src/runtime/device.hpp) converts
 // the totals into modeled execution time and cache behaviour.
 
-#include <atomic>
 #include <cstdint>
 
 namespace ahn {
@@ -38,10 +37,11 @@ struct OpCounts {
 
 inline OpCounts operator+(OpCounts a, const OpCounts& b) noexcept { return a += b; }
 
-/// Global accumulation point; kernels that want their cost modeled call
-/// FlopCounter::add. Scoped regions can snapshot/diff. Counters are relaxed
-/// atomics: the serving runtime runs inference kernels from many client and
-/// flusher threads concurrently, and each field is an independent tally.
+/// Accumulation point; kernels that want their cost modeled call
+/// FlopCounter::add on the thread that ran them. Each thread keeps its own
+/// tally, so a FlopRegion counts exactly its own thread's kernels while
+/// other threads (serving clients, a parallel sample acquisition) run
+/// theirs, and no shared counter is written on the serving path.
 class FlopCounter {
  public:
   static FlopCounter& instance() noexcept {
@@ -49,29 +49,18 @@ class FlopCounter {
     return c;
   }
 
-  void add(const OpCounts& c) noexcept {
-    flops_.fetch_add(c.flops, std::memory_order_relaxed);
-    bytes_read_.fetch_add(c.bytes_read, std::memory_order_relaxed);
-    bytes_written_.fetch_add(c.bytes_written, std::memory_order_relaxed);
-  }
-  void reset() noexcept {
-    flops_.store(0, std::memory_order_relaxed);
-    bytes_read_.store(0, std::memory_order_relaxed);
-    bytes_written_.store(0, std::memory_order_relaxed);
-  }
-  [[nodiscard]] OpCounts total() const noexcept {
-    return {flops_.load(std::memory_order_relaxed),
-            bytes_read_.load(std::memory_order_relaxed),
-            bytes_written_.load(std::memory_order_relaxed)};
-  }
+  void add(const OpCounts& c) noexcept { tally_ += c; }
+  /// Zeroes the calling thread's tally.
+  void reset() noexcept { tally_ = {}; }
+  /// The calling thread's tally.
+  [[nodiscard]] OpCounts total() const noexcept { return tally_; }
 
  private:
-  std::atomic<std::uint64_t> flops_{0};
-  std::atomic<std::uint64_t> bytes_read_{0};
-  std::atomic<std::uint64_t> bytes_written_{0};
+  static inline thread_local OpCounts tally_;
 };
 
-/// RAII region: captures the OpCounts added between construction and read().
+/// RAII region: captures the OpCounts the constructing thread added between
+/// construction and delta(). A region is read on the thread that made it.
 class FlopRegion {
  public:
   FlopRegion() noexcept : start_(FlopCounter::instance().total()) {}

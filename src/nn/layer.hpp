@@ -43,6 +43,11 @@ class Layer {
   /// grad wrt output -> grad wrt input; accumulates parameter gradients.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// backward() for the first layer of a network, whose input gradient no
+  /// one reads: accumulates parameter gradients only. The default runs
+  /// backward() and drops the input gradient.
+  virtual void backward_params(const Tensor& grad_out) { (void)backward(grad_out); }
+
   /// Trainable parameter / gradient views (same order). Empty by default.
   /// Taking params() signals intent to MUTATE: layers deriving serving state
   /// from their weights (DenseLayer's calibrated int8 payload) invalidate it
@@ -93,6 +98,7 @@ class DenseLayer final : public Layer {
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override {
     note_weights_mutated();
     return {&w_, &b_};

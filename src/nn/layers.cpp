@@ -105,16 +105,20 @@ void DenseLayer::set_precision(Precision p) {
   precision_ = p;
 }
 
-Tensor DenseLayer::backward(const Tensor& grad_out) {
+void DenseLayer::backward_params(const Tensor& grad_out) {
   AHN_CHECK_MSG(!x_cache_.empty(), "dense backward without cached forward input");
-  // dW += X^T G ; db += column-sum(G) ; dX = G W^T
+  // dW += X^T G ; db += column-sum(G)
   Tensor gw = ops::matmul_tn(x_cache_, grad_out);
   ops::axpy(1.0, gw, gw_);
   for (std::size_t r = 0; r < grad_out.rows(); ++r) {
     const auto row = grad_out.row(r);
     for (std::size_t c = 0; c < out_; ++c) gb_[c] += row[c];
   }
-  return ops::matmul_nt(grad_out, w_);
+}
+
+Tensor DenseLayer::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
+  return ops::matmul_nt(grad_out, w_);  // dX = G W^T
 }
 
 OpCounts DenseLayer::inference_cost(std::size_t batch) const {

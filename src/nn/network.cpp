@@ -64,10 +64,11 @@ Tensor Network::forward(const Tensor& x, bool training) {
   return a;
 }
 
-Tensor Network::backward(const Tensor& grad_out) {
+void Network::backward(const Tensor& grad_out) {
+  if (layers_.empty()) return;
   Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
-  return g;
+  for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
 }
 
 double Network::backprop_from(const Tensor& pred, const Tensor& y, LossKind loss,
@@ -122,7 +123,11 @@ double Network::train_batch(const Tensor& x, const Tensor& y, LossKind loss,
       r = layers_[i]->forward(r, /*training=*/true);
     }
     for (std::size_t i = seg_begin[s + 1]; i-- > seg_begin[s];) {
-      g = layers_[i]->backward(g);
+      if (i > 0) {
+        g = layers_[i]->backward(g);
+      } else {
+        layers_[i]->backward_params(g);
+      }
       layers_[i]->clear_cache();
     }
   }

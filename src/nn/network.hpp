@@ -49,8 +49,9 @@ class Network {
   /// Training forward (caches activations inside layers).
   Tensor forward(const Tensor& x, bool training);
 
-  /// Backprop from an output gradient; accumulates parameter gradients.
-  Tensor backward(const Tensor& grad_out);
+  /// Backprop from an output gradient; accumulates parameter gradients. The
+  /// gradient with respect to the network's input is never computed.
+  void backward(const Tensor& grad_out);
 
   /// One optimizer step over a batch; returns the batch loss. When
   /// `checkpoint_segments > 1`, uses gradient checkpointing: only segment

@@ -260,6 +260,63 @@ __attribute__((noinline)) void finish_row(const std::int32_t* acc,
   }
 }
 
+/// Rows of the Dot kernel's output tile.
+constexpr std::size_t kDotRows = 4;
+
+/// acc[r * n + j] = exact int32 dot of activation row r and transposed
+/// weight row j, for `rows` rows, two outputs per pass over a row.
+void dot_rows(std::size_t rows, std::size_t n, std::size_t k, const std::int16_t* a16,
+              const std::int16_t* wt16, std::int32_t* acc) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int16_t* arow = a16 + r * k;
+    std::int32_t* arow_acc = acc + r * n;
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) {
+      const std::int16_t* w0 = wt16 + j * k;
+      const std::int16_t* w1 = w0 + k;
+      std::int32_t acc0 = 0, acc1 = 0;
+      for (std::size_t p = 0; p < k; ++p) {
+        const std::int32_t av = arow[p];
+        acc0 += av * w0[p];
+        acc1 += av * w1[p];
+      }
+      arow_acc[j] = acc0;
+      arow_acc[j + 1] = acc1;
+    }
+    for (; j < n; ++j) {
+      const std::int16_t* wrow = wt16 + j * k;
+      std::int32_t s = 0;
+      for (std::size_t p = 0; p < k; ++p) s += static_cast<std::int32_t>(arow[p]) * wrow[p];
+      arow_acc[j] = s;
+    }
+  }
+}
+
+/// dot_rows for kDotRows rows, in 4x4 output tiles (columns past the last
+/// full tile go through dot_rows one column at a time).
+void dot_tile_rows(std::size_t n, std::size_t k, const std::int16_t* a16,
+                   const std::int16_t* wt16, std::int32_t* acc) noexcept {
+  constexpr std::size_t kCols = 4;
+  std::size_t j = 0;
+  for (; j + kCols <= n; j += kCols) {
+    std::int32_t s[kDotRows][kCols] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t r = 0; r < kDotRows; ++r) {
+        const std::int32_t av = a16[r * k + p];
+        for (std::size_t c = 0; c < kCols; ++c) s[r][c] += av * wt16[(j + c) * k + p];
+      }
+    }
+    for (std::size_t r = 0; r < kDotRows; ++r) {
+      for (std::size_t c = 0; c < kCols; ++c) acc[r * n + j + c] = s[r][c];
+    }
+  }
+  for (; j < n; ++j) {
+    for (std::size_t r = 0; r < kDotRows; ++r) {
+      dot_rows(1, 1, k, a16 + r * k, wt16 + j * k, acc + r * n + j);
+    }
+  }
+}
+
 }  // namespace
 
 void i8_gemm(Int8Kernel kind, std::size_t m, std::size_t n, std::size_t k,
@@ -274,36 +331,25 @@ void i8_gemm(Int8Kernel kind, std::size_t m, std::size_t n, std::size_t k,
 
   if (kind == Int8Kernel::Dot) {
     // Each output is one contiguous k-length dot against a transposed weight
-    // row. Two outputs share one pass over the activation row, and the
-    // int16 x int16 -> int32 body vectorizes to widening multiply-adds.
-    // Integer sums are exact, so neither the pairing nor the SIMD
-    // reassociation can change the result.
-    parallel_for(m * n * k, m, [&](std::size_t i) {
+    // row. Groups of 4 rows run 4x4 output tiles, so every activation and
+    // weight load feeds four dots, and the int16 x int16 -> int32 body
+    // vectorizes to widening multiply-adds; a tail of fewer than 4 rows
+    // takes dot_rows. Integer sums are exact, so neither the tiling nor the
+    // SIMD reassociation can change the result.
+    parallel_for(m * n * k, (m + kDotRows - 1) / kDotRows, [&](std::size_t g) {
       static thread_local std::vector<std::int32_t> acc;
-      acc.resize(n);
-      const std::int16_t* arow = a16 + i * k;
-      std::size_t j = 0;
-      for (; j + 2 <= n; j += 2) {
-        const std::int16_t* w0 = wt16 + j * k;
-        const std::int16_t* w1 = w0 + k;
-        std::int32_t acc0 = 0, acc1 = 0;
-        for (std::size_t p = 0; p < k; ++p) {
-          const std::int32_t av = arow[p];
-          acc0 += av * w0[p];
-          acc1 += av * w1[p];
-        }
-        acc[j] = acc0;
-        acc[j + 1] = acc1;
+      const std::size_t i0 = g * kDotRows;
+      const std::size_t rows = std::min(kDotRows, m - i0);
+      acc.resize(rows * n);
+      if (rows == kDotRows) {
+        dot_tile_rows(n, k, a16 + i0 * k, wt16, acc.data());
+      } else {
+        dot_rows(rows, n, k, a16 + i0 * k, wt16, acc.data());
       }
-      for (; j < n; ++j) {
-        const std::int16_t* wrow = wt16 + j * k;
-        std::int32_t s = 0;
-        for (std::size_t p = 0; p < k; ++p) {
-          s += static_cast<std::int32_t>(arow[p]) * wrow[p];
-        }
-        acc[j] = s;
+      for (std::size_t r = 0; r < rows; ++r) {
+        finish_row(acc.data() + r * n, wt_colsum, za, combined, bias, act, n,
+                   out + (i0 + r) * n);
       }
-      finish_row(acc.data(), wt_colsum, za, combined, bias, act, n, out + i * n);
     });
     return;
   }

@@ -165,6 +165,32 @@ TEST(FlopRegion, CapturesDelta) {
   EXPECT_EQ(d.bytes_written, 30u);
 }
 
+// Two threads run counted regions at the same time: each region sees only
+// its own thread's adds, and the main thread's tally sees neither.
+TEST(FlopRegion, CountsOnlyItsOwnThreadWhileOthersRun) {
+  constexpr int kAdds = 20000;
+  const FlopRegion main_region;
+  std::atomic<int> started{0};
+  OpCounts seen[2];
+  auto worker = [&](int id) {
+    const FlopRegion region;
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();  // overlap the loops
+    const OpCounts step{static_cast<std::uint64_t>(id + 1), 7, 0};
+    for (int i = 0; i < kAdds; ++i) FlopCounter::instance().add(step);
+    seen[id] = region.delta();
+  };
+  std::thread t0(worker, 0), t1(worker, 1);
+  t0.join();
+  t1.join();
+  EXPECT_EQ(seen[0].flops, 1u * kAdds);
+  EXPECT_EQ(seen[1].flops, 2u * kAdds);
+  EXPECT_EQ(seen[0].bytes_read, 7u * kAdds);
+  EXPECT_EQ(seen[1].bytes_read, 7u * kAdds);
+  EXPECT_EQ(seen[0].bytes_written, 0u);
+  EXPECT_EQ(main_region.delta().flops, 0u);
+}
+
 // ------------------------------------------------------------ parallel_for
 
 /// Sets the calling thread's team budget for one test, then restores it.

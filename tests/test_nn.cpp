@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -221,6 +222,39 @@ TEST(Optimizer, AdamReducesLossOnQuadratic) {
   }
   EXPECT_NEAR(w[0], -1.0, 1e-2);
   EXPECT_NEAR(w[1], 4.0, 1e-2);
+}
+
+// Adam::step is compiled without errno so that its loop vectorizes; the
+// update must stay the bits of the scalar loop it was written as.
+TEST(Optimizer, AdamStepEqualsScalarUpdateBitwise) {
+  const double lr = 1e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  Rng rng(31);
+  const std::size_t n = 37;  // not a multiple of any vector width
+  Tensor w = Tensor::randn({n}, rng);
+  Tensor g({n});
+  Adam opt(lr, beta1, beta2, eps);
+  opt.bind({&w}, {&g});
+  std::vector<double> rw(w.flat().begin(), w.flat().end()), rm(n, 0.0), rv(n, 0.0);
+  for (int t = 1; t <= 60; ++t) {
+    std::vector<double> rg(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double scale = t % 20 == 0 ? 1e-30 : (t % 13 == 0 ? 1e30 : 1.0);
+      rg[j] = j % 11 == 0 ? 0.0 : rng.gaussian() * scale;
+      g[j] = rg[j];
+    }
+    opt.step();
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    for (std::size_t j = 0; j < n; ++j) {
+      rm[j] = beta1 * rm[j] + (1.0 - beta1) * rg[j];
+      rv[j] = beta2 * rv[j] + (1.0 - beta2) * rg[j] * rg[j];
+      const double mhat = rm[j] / bc1;
+      const double vhat = rv[j] / bc2;
+      rw[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+    }
+    ASSERT_EQ(0, std::memcmp(w.data(), rw.data(), n * sizeof(double))) << "step " << t;
+    for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(g[j], 0.0);
+  }
 }
 
 TEST(Network, SparsePredictMatchesDense) {

@@ -208,40 +208,45 @@ TEST(KernelSelector, Fp32OnlyWhenInt8Disallowed) {
   EXPECT_FALSE(ops::kernel_is_int8(c));
 }
 
-// Both int8 kernel variants compute the identical int32 accumulation.
+// Both int8 kernel variants compute the identical int32 accumulation, on
+// the Dot kernel's 4x4 tiles, tail columns and tail rows alike.
 TEST(Int8Gemm, DotAndRowVariantsBitwiseEqual) {
   Rng rng(31);
-  const std::size_t m = 5, n = 7, k = 23;
-  std::vector<double> a(m * k), w(k * n), bias(n);
-  for (auto& v : a) v = rng.uniform(-2.0, 2.0);
-  for (auto& v : w) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : bias) v = rng.uniform(-0.5, 0.5);
-  const quant::QuantParams aq = quant::params_from_range(-2.0, 2.0);
-  const quant::QuantParams wq = quant::params_symmetric(1.0);
-  std::vector<std::int16_t> a16(m * k), w16(k * n), wt16(n * k);
-  quant::quantize(a, aq, a16.data());
-  quant::quantize(w, wq, w16.data());
-  for (std::size_t p = 0; p < k; ++p) {
-    for (std::size_t j = 0; j < n; ++j) wt16[j * k + p] = w16[p * n + j];
+  struct Shape { std::size_t m, n, k; };
+  for (const auto& [m, n, k] : {Shape{5, 7, 23}, Shape{8, 9, 40}, Shape{3, 4, 17}}) {
+    std::vector<double> a(m * k), w(k * n), bias(n);
+    for (auto& v : a) v = rng.uniform(-2.0, 2.0);
+    for (auto& v : w) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : bias) v = rng.uniform(-0.5, 0.5);
+    const quant::QuantParams aq = quant::params_from_range(-2.0, 2.0);
+    const quant::QuantParams wq = quant::params_symmetric(1.0);
+    std::vector<std::int16_t> a16(m * k), w16(k * n), wt16(n * k);
+    quant::quantize(a, aq, a16.data());
+    quant::quantize(w, wq, w16.data());
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t j = 0; j < n; ++j) wt16[j * k + p] = w16[p * n + j];
+    }
+    std::vector<std::int32_t> colsum(n, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t p = 0; p < k; ++p) colsum[j] += wt16[j * k + p];
+    }
+    std::vector<double> dot(m * n), row(m * n);
+    quant::i8_gemm(quant::Int8Kernel::Dot, m, n, k, a16.data(), wt16.data(), w16.data(),
+                   colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::Relu, dot.data());
+    quant::i8_gemm(quant::Int8Kernel::Row, m, n, k, a16.data(), wt16.data(), w16.data(),
+                   colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::Relu, row.data());
+    EXPECT_EQ(std::memcmp(dot.data(), row.data(), dot.size() * sizeof(double)), 0)
+        << m << "x" << n << "x" << k;
   }
-  std::vector<std::int32_t> colsum(n, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t p = 0; p < k; ++p) colsum[j] += wt16[j * k + p];
-  }
-  std::vector<double> dot(m * n), row(m * n);
-  quant::i8_gemm(quant::Int8Kernel::Dot, m, n, k, a16.data(), wt16.data(), w16.data(),
-                 colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::Relu, dot.data());
-  quant::i8_gemm(quant::Int8Kernel::Row, m, n, k, a16.data(), wt16.data(), w16.data(),
-                 colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::Relu, row.data());
-  EXPECT_EQ(std::memcmp(dot.data(), row.data(), dot.size() * sizeof(double)), 0);
 }
 
-// Rows are the int8 kernels' unit of parallel work (each thread keeps its
-// own int32 accumulator row): both are bitwise equal at every team size.
+// Rows (Row) and 4-row groups (Dot) are the int8 kernels' units of parallel
+// work (each thread keeps its own int32 accumulators): both are bitwise
+// equal at every team size.
 TEST(Int8Gemm, BitwiseAcrossTeamSizes) {
   Rng rng(37);
   const std::size_t m = 64, n = 32, k = 64;
-  ASSERT_TRUE(team_test::forks_full_team(m * n * k, m));
+  ASSERT_TRUE(team_test::forks_full_team(m * n * k, m / 4));
   std::vector<double> a(m * k), w(k * n), bias(n);
   for (auto& v : a) v = rng.uniform(-2.0, 2.0);
   for (auto& v : w) v = rng.uniform(-1.0, 1.0);
