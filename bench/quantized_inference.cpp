@@ -17,7 +17,11 @@
 // walks shadow -> canary -> promote behind the QoI breaker on clean traffic
 // (gated: promoted, zero lost rows, zero breaker trips), and a deliberately
 // mis-calibrated candidate (activation scale 1000x off) is auto-rolled back
-// by shadow scoring (gated: rolled back, zero lost rows, v1 active).
+// by shadow scoring (gated: rolled back, zero lost rows, v1 active). Both
+// candidates pin the int8 Dot kernel (no probe), so their int8 payloads are
+// what shadow and canary score on any host; a probe that picks fp32 for
+// this small model would leave the payloads unserved and the phase
+// vacuous.
 //
 // Emits BENCH_quantized.json and BENCH_quantized.prom (the promote-phase
 // orchestrator metrics, picked up by the CI Prometheus smoke gate). Exits
@@ -343,10 +347,12 @@ int main() {
   std::cout << "rollout QoI epsilon (p95 of v1 rel-error): "
             << TextTable::num(eps, 4) << "\n";
 
+  nn::QuantizationOptions pinned;
+  pinned.probe_kernels = false;  // serve the int8 payloads under test
   runtime::Orchestrator orc(runtime::DeviceModel{}, inline_opts());
   orc.deploy(runtime::DeploymentPackage::build("surrogate", model, train_x));
   auto clean = std::make_shared<runtime::ServableModel>(
-      runtime::quantized_servable(*model, train_x));
+      runtime::quantized_servable(*model, train_x, pinned));
   const RolloutOutcome promote = drive_rollout(orc, clean, "quantize", rng);
   std::cout << "clean quantized candidate: " << promote.state << ", served "
             << promote.served << ", lost " << promote.lost << ", breaker trips "
@@ -361,11 +367,11 @@ int main() {
   runtime::Orchestrator guard(runtime::DeviceModel{}, inline_opts());
   guard.deploy(runtime::DeploymentPackage::build("surrogate", model, train_x));
   auto bad = std::make_shared<runtime::ServableModel>(
-      runtime::quantized_servable(*model, train_x));
+      runtime::quantized_servable(*model, train_x, pinned));
   for (std::size_t i = 0; i < bad->surrogate.net.layer_count(); ++i) {
     if (auto* d = dynamic_cast<nn::DenseLayer*>(&bad->surrogate.net.layer(i))) {
       d->set_quantized(nn::build_quantized_dense(
-          d->weights(), quant::QuantParams{1000.0, 0}, nn::QuantizationOptions{}));
+          d->weights(), quant::QuantParams{1000.0, 0}, pinned));
     }
   }
   const RolloutOutcome rollback = drive_rollout(guard, bad, "mis-calibrated", rng);
