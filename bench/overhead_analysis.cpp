@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
                      TextTable::num(res.offline.search_seconds, 3),
                      TextTable::num(res.offline.autoencoder_seconds, 3),
                      TextTable::num(res.offline.total(), 3)});
-    const core::OnlineBreakdown& b = res.evaluation.breakdown;
+    const RequestPhases& b = res.evaluation.breakdown;
     const double total = std::max(b.total(), 1e-30);
     online.add_row({name, TextTable::num(100.0 * b.fetch / total, 1) + "%",
                     TextTable::num(100.0 * b.encode / total, 1) + "%",

@@ -8,18 +8,9 @@
 #include "common/serving_stats.hpp"
 #include "apps/application.hpp"
 #include "nas/search_task.hpp"
-#include "runtime/deployment.hpp"
+#include "runtime/device.hpp"
 
 namespace ahn::core {
-
-struct OnlineBreakdown {
-  double fetch = 0.0;
-  double encode = 0.0;
-  double load = 0.0;
-  double run = 0.0;
-
-  [[nodiscard]] double total() const noexcept { return fetch + encode + load + run; }
-};
 
 struct AppEvaluation {
   double speedup = 1.0;        ///< Eqn 2 over all evaluation problems
@@ -27,7 +18,7 @@ struct AppEvaluation {
   double mean_qoi_error = 0.0;
   double exact_seconds = 0.0;      ///< sum T_solver + T_other (measured)
   double surrogate_seconds = 0.0;  ///< sum T_infer' + T_load' + T_other (+fallback)
-  OnlineBreakdown breakdown;       ///< summed modeled online phases
+  RequestPhases breakdown;         ///< summed modeled online phases
 };
 
 struct EvalOptions {

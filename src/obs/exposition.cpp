@@ -1,7 +1,6 @@
 #include "obs/exposition.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -103,55 +102,10 @@ FamilyMap<Value> group_families(const std::map<std::string, Value>& metrics) {
   return families;
 }
 
-/// Escapes a HELP line (backslash and newline per the exposition format).
-std::string escape_help(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// The process-wide HELP registry behind register_metric_help/metric_help.
-/// Seeded with curated text for every family the runtime emits today; the
-/// metric_help fallback keeps unknown families covered.
-class HelpRegistry {
- public:
-  static HelpRegistry& instance() {
-    static HelpRegistry reg;
-    return reg;
-  }
-
-  void set(const std::string& family, const std::string& help) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    help_[prometheus_sanitize_name(family)] = help;
-  }
-
-  std::string get(const std::string& family) const {
-    const std::string key = prometheus_sanitize_name(family);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = help_.find(key);
-      if (it != help_.end()) return it->second;
-    }
-    // Prefix fallbacks keep derived families (per-kind fault counters,
-    // per-transition breaker counters) described without one entry each.
-    if (key.rfind("serving_fault_", 0) == 0) {
-      return "Injected faults of one kind (suffix) observed by the serving path.";
-    }
-    if (key.rfind("serving_breaker_transition_", 0) == 0) {
-      return "QoI circuit-breaker state transitions of one kind (suffix).";
-    }
-    return "Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.";
-  }
-
- private:
-  HelpRegistry() {
+/// Curated HELP text for every family the runtime emits, keyed by exported
+/// name. Built once on first use and read-only afterwards.
+const std::map<std::string, std::string>& help_table() {
+  static const std::map<std::string, std::string> table = [] {
     const std::pair<const char*, const char*> seed[] = {
         {"serving.requests_served", "Requests served by this orchestrator."},
         {"serving.batches_executed", "Coalesced micro-batches executed."},
@@ -202,23 +156,29 @@ class HelpRegistry {
         {"slo.alerts", "Edge-triggered slo_burn alerts raised."},
         {"http.requests_served", "HTTP requests answered by the exposition server."},
     };
-    for (const auto& [name, help] : seed) {
-      help_[prometheus_sanitize_name(name)] = help;
-    }
-  }
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::string> help_;
-};
+    std::map<std::string, std::string> t;
+    for (const auto& [name, help] : seed) t.emplace(prometheus_sanitize_name(name), help);
+    return t;
+  }();
+  return table;
+}
 
 }  // namespace
 
-void register_metric_help(const std::string& family, const std::string& help) {
-  HelpRegistry::instance().set(family, help);
-}
-
 std::string metric_help(const std::string& family) {
-  return HelpRegistry::instance().get(family);
+  const std::string key = prometheus_sanitize_name(family);
+  const std::map<std::string, std::string>& table = help_table();
+  const auto it = table.find(key);
+  if (it != table.end()) return it->second;
+  // Prefix fallbacks keep derived families (per-kind fault counters,
+  // per-transition breaker counters) described without one entry each.
+  if (key.rfind("serving_fault_", 0) == 0) {
+    return "Injected faults of one kind (suffix) observed by the serving path.";
+  }
+  if (key.rfind("serving_breaker_transition_", 0) == 0) {
+    return "QoI circuit-breaker state transitions of one kind (suffix).";
+  }
+  return "Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.";
 }
 
 std::string prometheus_sanitize_name(const std::string& name) {
@@ -249,7 +209,7 @@ std::string prometheus_escape_label(const std::string& value) {
 void export_prometheus(std::ostream& os, const RegistrySnapshot& snapshot,
                        const PrometheusOptions& opts) {
   const auto head = [&os](const std::string& family, const char* type) {
-    os << "# HELP " << family << ' ' << escape_help(metric_help(family)) << '\n';
+    os << "# HELP " << family << ' ' << metric_help(family) << '\n';
     os << "# TYPE " << family << ' ' << type << '\n';
   };
   for (const auto& [family, samples] : group_families(snapshot.counters)) {
@@ -373,68 +333,6 @@ std::string export_chrome_trace_string(const TracerSnapshot& snapshot,
   std::ostringstream os;
   export_chrome_trace(os, snapshot, process_name);
   return os.str();
-}
-
-bool export_chrome_trace_file(const std::string& path, const Tracer& tracer,
-                              const std::string& process_name) {
-  std::ofstream out(path);
-  if (!out) return false;
-  export_chrome_trace(out, tracer.snapshot(), process_name);
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-// --------------------------------------------------------- PeriodicExporter
-
-PeriodicExporter::PeriodicExporter(Options opts) : opts_(std::move(opts)) {
-  thread_ = std::thread([this] { run(); });
-}
-
-PeriodicExporter::~PeriodicExporter() { stop(); }
-
-void PeriodicExporter::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  export_once();  // final pass: files reflect the end state
-}
-
-void PeriodicExporter::run() {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto period = std::chrono::duration<double>(
-      opts_.period_seconds > 0.0 ? opts_.period_seconds : 0.001);
-  while (!stopping_) {
-    if (cv_.wait_for(lock, period, [this] { return stopping_; })) break;
-    lock.unlock();
-    export_once();
-    lock.lock();
-  }
-}
-
-void PeriodicExporter::export_once() {
-  bool ok = true;
-  if (opts_.registry != nullptr) {
-    if (!opts_.prometheus_path.empty()) {
-      ok = export_prometheus_file(opts_.prometheus_path, *opts_.registry) && ok;
-    }
-    if (!opts_.json_path.empty()) {
-      ok = export_json_file(opts_.json_path, *opts_.registry, opts_.tracer) && ok;
-    }
-  }
-  if (opts_.tracer != nullptr && !opts_.chrome_trace_path.empty()) {
-    ok = export_chrome_trace_file(opts_.chrome_trace_path, *opts_.tracer) && ok;
-  }
-  last_ok_.store(ok, std::memory_order_relaxed);
-  exports_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace ahn::obs

@@ -3,8 +3,7 @@
 // (docs/OBSERVABILITY.md): Prometheus text format (v0.0.4) for any
 // RegistrySnapshot, and Chrome trace-event JSON ("traceEvents") for the
 // tracer's span ring — the two formats external tooling actually scrapes
-// and loads. Both are writable on demand, and a PeriodicExporter can keep
-// files fresh from a background thread with a clean final export on stop.
+// and loads.
 //
 // Metric names are sanitized to the Prometheus charset
 // ([a-zA-Z_:][a-zA-Z0-9_:]*, '.' and other invalid characters become '_').
@@ -12,13 +11,8 @@
 // — which is parsed and re-emitted as Prometheus labels, so per-model
 // instruments registered under distinct names land in one metric family.
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,16 +25,10 @@ namespace ahn::obs {
 /// Escapes a label value (backslash, double quote, newline).
 [[nodiscard]] std::string prometheus_escape_label(const std::string& value);
 
-/// Registers (or replaces) the `# HELP` text for a metric family. `family`
-/// is sanitized with prometheus_sanitize_name, so callers may pass the
-/// registry-side dotted name ("serving.latency.total") or the exported one
-/// ("serving_latency_total"). Process-wide and thread-safe; components
-/// register help for the families they own at construction time.
-void register_metric_help(const std::string& family, const std::string& help);
-
-/// The registered help text for a family (after sanitization), or a generic
-/// fallback pointing at docs/OBSERVABILITY.md — every family always exports
-/// with a `# HELP` line.
+/// The `# HELP` text for a family (registry-side dotted or exported name):
+/// curated text for every family the runtime emits, a per-prefix text for
+/// derived families, or a generic pointer at docs/OBSERVABILITY.md — every
+/// family always exports with a `# HELP` line.
 [[nodiscard]] std::string metric_help(const std::string& family);
 
 /// Exposition tuning. Defaults reproduce the plain Prometheus text format
@@ -84,59 +72,5 @@ void export_chrome_trace(std::ostream& os, const TracerSnapshot& snapshot,
 
 [[nodiscard]] std::string export_chrome_trace_string(
     const TracerSnapshot& snapshot, const std::string& process_name = "auto-hpcnet");
-
-/// Writes the trace export to `path`; returns false when the file cannot be
-/// opened or written.
-bool export_chrome_trace_file(const std::string& path, const Tracer& tracer,
-                              const std::string& process_name = "auto-hpcnet");
-
-/// Background file exporter: every `period_seconds` it rewrites the
-/// configured files (any subset; empty path = skip that format) from the
-/// live registry/tracer. stop() — also run by the destructor — wakes the
-/// thread, joins it, and performs one final export so the files on disk
-/// reflect the end state. All exports are atomic at file granularity only
-/// (rewrite in place); scrape-side partial reads are the reader's problem,
-/// as with any textfile collector.
-class PeriodicExporter {
- public:
-  struct Options {
-    double period_seconds = 5.0;
-    std::string prometheus_path;   ///< empty = no Prometheus file
-    std::string json_path;         ///< empty = no JSON file
-    std::string chrome_trace_path; ///< empty = no trace file
-    const MetricsRegistry* registry = nullptr;  ///< required for prom/json
-    const Tracer* tracer = nullptr;             ///< required for trace; optional for json
-  };
-
-  explicit PeriodicExporter(Options opts);
-  PeriodicExporter(const PeriodicExporter&) = delete;
-  PeriodicExporter& operator=(const PeriodicExporter&) = delete;
-  ~PeriodicExporter();
-
-  /// Idempotent: signals the thread, joins it, runs one final export.
-  void stop();
-
-  /// Export passes completed (periodic + final).
-  [[nodiscard]] std::uint64_t exports_completed() const noexcept {
-    return exports_.load(std::memory_order_relaxed);
-  }
-  /// False when any file in the most recent pass failed to write.
-  [[nodiscard]] bool last_export_ok() const noexcept {
-    return last_ok_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void run();
-  void export_once();
-
-  Options opts_;
-  std::atomic<std::uint64_t> exports_{0};
-  std::atomic<bool> last_ok_{true};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  bool stopped_ = false;
-  std::thread thread_;
-};
 
 }  // namespace ahn::obs

@@ -287,15 +287,10 @@ AlertSink::AlertSink(std::size_t ring_capacity)
   ring_.reserve(capacity_);
 }
 
-void AlertSink::set_callback(Callback cb) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  callback_ = std::move(cb);
-}
-
 void AlertSink::add_callback(Callback cb) {
   if (!cb) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  extra_callbacks_.push_back(std::move(cb));
+  callbacks_.push_back(std::move(cb));
 }
 
 void AlertSink::raise(Alert alert) {
@@ -306,8 +301,7 @@ void AlertSink::raise(Alert alert) {
                            << " model=" << alert.model << " value=" << alert.value
                            << " threshold=" << alert.threshold << " "
                            << alert.message);
-  Callback cb;
-  std::vector<Callback> extras;
+  std::vector<Callback> callbacks;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (ring_.size() < capacity_) {
@@ -316,13 +310,11 @@ void AlertSink::raise(Alert alert) {
       ring_[ring_next_] = alert;
       ring_next_ = (ring_next_ + 1) % capacity_;
     }
-    cb = callback_;
-    extras = extra_callbacks_;
+    callbacks = callbacks_;
   }
   // Outside the sink lock: callbacks may export, log, or page — but they
   // must not block for long and must not call back into the raising monitor.
-  if (cb) cb(alert);
-  for (const Callback& extra : extras) extra(alert);
+  for (const Callback& cb : callbacks) cb(alert);
 }
 
 std::vector<Alert> AlertSink::recent() const {

@@ -242,8 +242,8 @@ struct Alert {
 
 /// Threshold-crossing alert fan-out: every raised alert is stamped, written
 /// to the structured log (Warn level, component "health", so the line
-/// carries the active trace id), delivered to the registered callback, and
-/// kept in a bounded ring of recent alerts. Thread-safe; the callback runs
+/// carries the active trace id), delivered to every subscribed callback, and
+/// kept in a bounded ring of recent alerts. Thread-safe; callbacks run
 /// outside the sink lock and must not block for long.
 class AlertSink {
  public:
@@ -253,11 +253,8 @@ class AlertSink {
   AlertSink(const AlertSink&) = delete;
   AlertSink& operator=(const AlertSink&) = delete;
 
-  /// Installs (or clears, with an empty function) the primary callback.
-  void set_callback(Callback cb);
-  /// Appends an additional subscriber; add_callback subscribers are
-  /// independent of the set_callback slot (a later set_callback does not
-  /// clobber them). Used by background consumers like the Retrainer.
+  /// Appends a subscriber (the Retrainer, the cluster's alert fan-in);
+  /// every raised alert reaches every subscriber, in subscription order.
   void add_callback(Callback cb);
 
   void raise(Alert alert);
@@ -274,8 +271,7 @@ class AlertSink {
  private:
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  Callback callback_;
-  std::vector<Callback> extra_callbacks_;
+  std::vector<Callback> callbacks_;
   std::vector<Alert> ring_;
   std::size_t ring_next_ = 0;
   std::atomic<std::uint64_t> raised_{0};

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/timer.hpp"
 #include "obs/export.hpp"
 #include "obs/exposition.hpp"
 
@@ -30,12 +29,8 @@ double budget(const SloSpec& spec) {
 }  // namespace
 
 SloEngine::SloEngine(std::vector<SloSpec> specs, AlertSink* alerts,
-                     MetricsRegistry* registry, ClockFn clock)
+                     MetricsRegistry* registry, Clock clock)
     : alerts_(alerts), registry_(registry), clock_(std::move(clock)) {
-  if (!clock_) {
-    // Default clock: seconds since engine construction (monotonic).
-    clock_ = [epoch = std::make_shared<Timer>()] { return epoch->seconds(); };
-  }
   states_.reserve(specs.size());
   for (SloSpec& spec : specs) {
     auto st = std::make_unique<SpecState>(std::move(spec));
@@ -55,7 +50,7 @@ SloEngine::SloEngine(std::vector<SloSpec> specs, AlertSink* alerts,
 }
 
 void SloEngine::observe(SpecState& st, double x) {
-  const double t = now();
+  const double t = clock_.now();
   {
     const std::lock_guard<std::mutex> lock(st.mu);
     const double dt = st.last_seconds < 0.0 ? 0.0 : t - st.last_seconds;
@@ -167,7 +162,7 @@ void SloEngine::evaluate_one(SpecState& st, double at_seconds) {
 }
 
 std::vector<SloStatus> SloEngine::evaluate() {
-  const double t = now();
+  const double t = clock_.now();
   std::vector<SloStatus> out;
   out.reserve(states_.size());
   for (const std::unique_ptr<SpecState>& st : states_) {
@@ -178,7 +173,7 @@ std::vector<SloStatus> SloEngine::evaluate() {
 }
 
 std::vector<SloStatus> SloEngine::status() const {
-  const double t = now();
+  const double t = clock_.now();
   std::vector<SloStatus> out;
   out.reserve(states_.size());
   for (const std::unique_ptr<SpecState>& st : states_) {

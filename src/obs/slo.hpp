@@ -23,12 +23,12 @@
 // drive windows deterministically (or compress 5m to 200ms).
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 
@@ -91,13 +91,12 @@ struct SloStatus {
 /// serving thread; evaluate()/status() may race with recording.
 class SloEngine {
  public:
-  using ClockFn = std::function<double()>;  ///< monotone seconds
-
   /// `alerts` (optional) receives edge-triggered kSloBurn alerts;
   /// `registry` (optional) receives the slo_* gauge families on every
-  /// evaluation; `clock` overrides the internal monotonic clock (tests).
+  /// evaluation; `clock` times the burn windows (the hosting Orchestrator's
+  /// Clock).
   explicit SloEngine(std::vector<SloSpec> specs, AlertSink* alerts = nullptr,
-                     MetricsRegistry* registry = nullptr, ClockFn clock = {});
+                     MetricsRegistry* registry = nullptr, Clock clock = {});
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
 
@@ -156,7 +155,6 @@ class SloEngine {
     Counter* alerts_counter = nullptr;
   };
 
-  [[nodiscard]] double now() const { return clock_(); }
   /// Folds one outcome (x = 1 bad, 0 good) into a spec's windows.
   void observe(SpecState& st, double x);
   /// Burn rates of `st` decayed to `at_seconds`; caller holds st.mu.
@@ -168,7 +166,7 @@ class SloEngine {
   std::vector<std::unique_ptr<SpecState>> states_;
   AlertSink* alerts_;
   MetricsRegistry* registry_;
-  ClockFn clock_;
+  Clock clock_;
   std::atomic<std::uint64_t> ticker_{0};
   std::atomic<std::uint64_t> eval_every_{64};
 };

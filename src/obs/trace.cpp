@@ -53,8 +53,6 @@ std::uint64_t Tracer::next_span_id() noexcept {
   return g_next_span.fetch_add(1, std::memory_order_relaxed);
 }
 
-double Tracer::seconds_since_epoch() const noexcept { return epoch_.seconds(); }
-
 void Tracer::record(SpanRecord rec) {
   const std::lock_guard<std::mutex> lock(mu_);
   SpanStats& agg = aggregates_[rec.name];
@@ -134,7 +132,7 @@ Span::Span(Tracer& tracer, std::string name, SpanContext parent, bool)
   parent_span_id_ = parent.span_id;
   saved_current_ = t_current;
   t_current = ctx_;
-  start_seconds_ = tracer_->seconds_since_epoch();
+  start_seconds_ = tracer_->now_seconds();
 }
 
 void Span::finish() noexcept {

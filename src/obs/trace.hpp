@@ -11,6 +11,7 @@
 // span records plus per-name aggregates (count / total / min / max). It
 // never grows with traffic.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -42,6 +43,13 @@ struct SpanRecord {
 /// assigned on first use. Stable for the thread's lifetime; what SpanRecords
 /// stamp so the Chrome-trace export can lay spans out on real thread rows.
 [[nodiscard]] std::uint64_t current_thread_id() noexcept;
+
+/// Head-sampling draw at a serving edge: true for every `every`'th call on
+/// `ticker` (0 = never).
+[[nodiscard]] inline bool sample_head(std::atomic<std::uint64_t>& ticker,
+                                      std::size_t every) noexcept {
+  return every > 0 && ticker.fetch_add(1, std::memory_order_relaxed) % every == 0;
+}
 
 /// Aggregate over every finished span of one name.
 struct SpanStats {
@@ -82,7 +90,7 @@ class Tracer {
   /// Seconds elapsed since this tracer's epoch — the time base SpanRecord
   /// start offsets are expressed in. Callers that record spans after the
   /// fact (record_span) capture this at the event's start.
-  [[nodiscard]] double now_seconds() const noexcept { return seconds_since_epoch(); }
+  [[nodiscard]] double now_seconds() const noexcept { return epoch_.seconds(); }
 
   /// Records an already-elapsed interval as a finished span without ever
   /// making it the thread's current span: the batching queue uses this to
@@ -101,7 +109,6 @@ class Tracer {
 
   [[nodiscard]] std::uint64_t next_trace_id() noexcept;
   [[nodiscard]] std::uint64_t next_span_id() noexcept;
-  [[nodiscard]] double seconds_since_epoch() const noexcept;
   void record(SpanRecord rec);
 
   const std::size_t capacity_;

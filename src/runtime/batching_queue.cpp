@@ -1,6 +1,7 @@
 #include "runtime/batching_queue.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -9,8 +10,12 @@
 namespace ahn::runtime {
 
 BatchingQueue::BatchingQueue(BatchFn run_batch, BatchingOptions opts, ServingStats* stats,
-                             obs::Tracer* tracer)
-    : run_batch_(std::move(run_batch)), opts_(opts), stats_(stats), tracer_(tracer) {
+                             obs::Tracer* tracer, Clock clock)
+    : run_batch_(std::move(run_batch)),
+      opts_(opts),
+      stats_(stats),
+      tracer_(tracer),
+      clock_(std::move(clock)) {
   AHN_CHECK(run_batch_ != nullptr);
   AHN_CHECK_MSG(opts_.max_batch >= 1, "max_batch must be at least 1");
   // Looked up once (stable address for the registry's lifetime) so depth
@@ -44,7 +49,8 @@ BatchingQueue::~BatchingQueue() {
 }
 
 std::future<Result<Tensor>> BatchingQueue::submit(const std::string& model,
-                                                  Tensor row, Deadline deadline) {
+                                                  Tensor row,
+                                                  std::optional<double> timeout_seconds) {
   if (row.rank() == 1) row.reshape({1, row.size()});
   AHN_CHECK_MSG(row.rank() == 2 && row.rows() == 1,
                 "batched submit expects a single row, got shape " << row.shape_string());
@@ -52,10 +58,14 @@ std::future<Result<Tensor>> BatchingQueue::submit(const std::string& model,
   std::promise<Result<Tensor>> promise;
   std::future<Result<Tensor>> result = promise.get_future();
 
-  if (deadline.has_value() && Clock::now() >= *deadline) {
-    if (stats_ != nullptr) stats_->record_deadline_miss();
-    promise.set_value(Status(StatusCode::kDeadlineExceeded, "expired before enqueue"));
-    return result;
+  double deadline = std::numeric_limits<double>::infinity();
+  if (timeout_seconds.has_value()) {
+    if (*timeout_seconds <= 0.0) {
+      if (stats_ != nullptr) stats_->record_deadline_miss();
+      promise.set_value(Status(StatusCode::kDeadlineExceeded, "expired before enqueue"));
+      return result;
+    }
+    deadline = clock_.now() + *timeout_seconds;
   }
 
   PendingBatch ready;
@@ -68,7 +78,7 @@ std::future<Result<Tensor>> BatchingQueue::submit(const std::string& model,
       return result;
     }
     PendingBatch& pending = pending_[model];
-    if (pending.empty()) pending.opened = Clock::now();
+    if (pending.empty()) pending.opened = clock_.now();
     pending.rows.push_back(std::move(row));
     pending.promises.push_back(std::move(promise));
     pending.deadlines.push_back(deadline);
@@ -146,10 +156,10 @@ void BatchingQueue::execute(const std::string& model, PendingBatch batch) {
   // Expired requests are resolved here and NOT coalesced: no device time for
   // results nobody is waiting on, and no deadline-blown rows inflating the
   // batch the live requests pay for.
-  const Clock::time_point now = Clock::now();
+  const double now = clock_.now();
   PendingBatch live;
   for (std::size_t r = 0; r < batch.rows.size(); ++r) {
-    if (batch.deadlines[r].has_value() && now >= *batch.deadlines[r]) {
+    if (now >= batch.deadlines[r]) {
       if (stats_ != nullptr) stats_->record_deadline_miss();
       batch.promises[r].set_value(
           Status(StatusCode::kDeadlineExceeded, "expired before dispatch"));
@@ -165,7 +175,7 @@ void BatchingQueue::execute(const std::string& model, PendingBatch batch) {
   // One sample per batch, not per row, keeps the histogram's atomics off the
   // per-row path.
   if (wait_hist_ != nullptr) {
-    wait_hist_->record(std::chrono::duration<double>(now - batch.opened).count());
+    wait_hist_->record(now - batch.opened);
   }
 
   // Per traced row, the coalescing delay becomes a "batching.batch_wait"

@@ -19,14 +19,13 @@
 // Reliability contract (docs/RELIABILITY.md):
 //  * every future carries a Result<Tensor> — batch failures resolve futures
 //    with a typed Status, never a broken promise;
-//  * a request may carry a deadline: expired requests are completed with
-//    kDeadlineExceeded at dispatch time and are NOT coalesced into the
-//    batch (no device time is spent on work nobody is waiting for);
+//  * a request may carry a time budget: requests whose deadline passed are
+//    completed with kDeadlineExceeded at dispatch time and are NOT coalesced
+//    into the batch (no device time is spent on work nobody is waiting for);
 //  * drain() executes everything pending, then rejects new submits with
 //    kShuttingDown; destruction completes any still-pending requests with
 //    kShuttingDown — every accepted request resolves, in every path.
 
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -39,10 +38,19 @@
 
 #include "common/serving_stats.hpp"
 #include "common/status.hpp"
+#include "common/timer.hpp"
 #include "obs/trace.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ahn::runtime {
+
+/// An already-resolved request future, for results that never enter a
+/// queue (admission rejections, breaker fallbacks, routing failures).
+[[nodiscard]] inline std::future<Result<Tensor>> ready_result(Result<Tensor> r) {
+  std::promise<Result<Tensor>> p;
+  p.set_value(std::move(r));
+  return p.get_future();
+}
 
 struct BatchingOptions {
   std::size_t max_batch = 32;  ///< coalesce at most this many rows
@@ -54,9 +62,6 @@ struct BatchingOptions {
 /// thread; internal state is mutex-guarded and futures are single-owner.
 class BatchingQueue {
  public:
-  using Clock = std::chrono::steady_clock;
-  using Deadline = std::optional<Clock::time_point>;
-
   /// `run_batch` executes one coalesced (B x features) batch for `model` and
   /// returns one Result per row, in row order (size must equal B — on a
   /// batch-wide failure, return B copies of the same error Status). It is
@@ -75,9 +80,10 @@ class BatchingQueue {
   /// "batching.execute" span — parented under the first traced row's context
   /// when the batch carries one (cross-thread hand-off), else under the
   /// executing thread's current span — plus one "batching.batch_wait" span
-  /// per traced row covering its enqueue -> dispatch interval.
+  /// per traced row covering its enqueue -> dispatch interval. `clock` times
+  /// deadlines and the measured batch wait.
   BatchingQueue(BatchFn run_batch, BatchingOptions opts, ServingStats* stats = nullptr,
-                obs::Tracer* tracer = nullptr);
+                obs::Tracer* tracer = nullptr, Clock clock = {});
   ~BatchingQueue();  ///< stops the flusher; fails stragglers with kShuttingDown
 
   BatchingQueue(const BatchingQueue&) = delete;
@@ -85,11 +91,11 @@ class BatchingQueue {
 
   /// Enqueues one inference row (rank-1, or rank-2 with a single row) for
   /// `model`. The future resolves to the (1 x outputs) result row or a typed
-  /// Status (kDeadlineExceeded if `deadline` passes before dispatch,
+  /// Status (kDeadlineExceeded if `timeout_seconds` elapse before dispatch,
   /// kShuttingDown after drain()/destruction, or whatever run_batch reports).
-  [[nodiscard]] std::future<Result<Tensor>> submit(const std::string& model,
-                                                   Tensor row,
-                                                   Deadline deadline = {});
+  [[nodiscard]] std::future<Result<Tensor>> submit(
+      const std::string& model, Tensor row,
+      std::optional<double> timeout_seconds = std::nullopt);
 
   /// Synchronously executes every pending batch on the calling thread.
   void flush();
@@ -106,10 +112,10 @@ class BatchingQueue {
   struct PendingBatch {
     std::vector<Tensor> rows;                   // each (1 x features)
     std::vector<std::promise<Result<Tensor>>> promises;
-    std::vector<Deadline> deadlines;
+    std::vector<double> deadlines;              // clock_ time; +inf = none
     std::vector<obs::SpanContext> contexts;     // submitter's span per row
     std::vector<double> enqueue_seconds;        // tracer-epoch enqueue time
-    Clock::time_point opened{};                 // first row's enqueue time
+    double opened = 0.0;                        // clock_ time of the first row
                                                 // (serving.batch_wait_seconds)
 
     [[nodiscard]] bool empty() const noexcept { return rows.empty(); }
@@ -131,6 +137,7 @@ class BatchingQueue {
   BatchingOptions opts_;
   ServingStats* stats_;
   obs::Tracer* tracer_;
+  Clock clock_;
   obs::Gauge* depth_gauge_ = nullptr;  ///< null when stats_ is null
   obs::LatencyHistogram* wait_hist_ = nullptr;  ///< serving.batch_wait_seconds
 

@@ -1,29 +1,16 @@
 #include "runtime/circuit_breaker.hpp"
 
-#include <chrono>
-
 #include "common/error.hpp"
 
 namespace ahn::runtime {
 
-namespace {
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
-
-CircuitBreaker::CircuitBreaker(CircuitBreakerOptions opts, ServingStats* stats)
-    : opts_(std::move(opts)), stats_(stats) {
+CircuitBreaker::CircuitBreaker(CircuitBreakerOptions opts, ServingStats* stats,
+                               Clock clock)
+    : opts_(std::move(opts)), stats_(stats), clock_(std::move(clock)) {
   AHN_CHECK_MSG(opts_.window >= 1, "breaker window must be at least 1");
   AHN_CHECK_MSG(opts_.half_open_probes >= 1, "breaker needs at least one probe");
   if (opts_.min_samples > opts_.window) opts_.min_samples = opts_.window;
   window_.assign(opts_.window, false);
-}
-
-double CircuitBreaker::now_locked() const {
-  return opts_.clock ? opts_.clock() : steady_seconds();
 }
 
 void CircuitBreaker::transition_locked(BreakerState to, double now) {
@@ -61,7 +48,7 @@ CircuitBreaker::Route CircuitBreaker::admit() {
     case BreakerState::kClosed:
       return Route::kSurrogate;
     case BreakerState::kOpen: {
-      const double now = now_locked();
+      const double now = clock_.now();
       if (now - opened_at_ < opts_.cooldown_seconds) return Route::kOriginal;
       transition_locked(BreakerState::kHalfOpen, now);
       [[fallthrough]];
@@ -85,12 +72,12 @@ void CircuitBreaker::record_outcome(bool qoi_ok) {
       return;
     case BreakerState::kHalfOpen:
       if (!qoi_ok) {
-        transition_locked(BreakerState::kOpen, now_locked());
+        transition_locked(BreakerState::kOpen, clock_.now());
         return;
       }
       ++probes_passed_;
       if (probes_passed_ >= opts_.half_open_probes) {
-        transition_locked(BreakerState::kClosed, now_locked());
+        transition_locked(BreakerState::kClosed, clock_.now());
       }
       return;
     case BreakerState::kClosed: {
@@ -105,7 +92,7 @@ void CircuitBreaker::record_outcome(bool qoi_ok) {
       if (window_count_ >= opts_.min_samples &&
           static_cast<double>(window_misses_) >=
               opts_.trip_threshold * static_cast<double>(window_count_)) {
-        transition_locked(BreakerState::kOpen, now_locked());
+        transition_locked(BreakerState::kOpen, clock_.now());
       }
       return;
     }

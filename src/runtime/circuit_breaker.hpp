@@ -17,8 +17,8 @@
 //     +------------------- HALF-OPEN <-----------------> OPEN
 //
 // Thread-safety: one mutex; admit() and record_outcome() are called from
-// client and batch-execution threads concurrently. The clock is injectable
-// so tests can drive the cool-down deterministically.
+// client and batch-execution threads concurrently. The cool-down runs on
+// the owning Orchestrator's Clock, so tests can drive it deterministically.
 
 #include <cstdint>
 #include <functional>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/serving_stats.hpp"
+#include "common/timer.hpp"
 
 namespace ahn::runtime {
 
@@ -46,8 +47,6 @@ struct CircuitBreakerOptions {
   double trip_threshold = 0.5;       ///< fallback rate in window that opens
   double cooldown_seconds = 50e-3;   ///< OPEN dwell before probing
   std::size_t half_open_probes = 4;  ///< surrogate probes admitted half-open
-  /// Monotonic seconds source; empty = steady_clock. Tests inject a fake.
-  std::function<double()> clock;
   /// Invoked on every state change with the window fallback rate at the
   /// moment of transition. Runs under the breaker mutex: the callback must
   /// be fast and must not call back into this breaker (the orchestrator
@@ -64,8 +63,9 @@ class CircuitBreaker {
   /// Where admit() routes a request.
   enum class Route { kSurrogate, kOriginal };
 
+  /// `clock` times the OPEN cool-down.
   explicit CircuitBreaker(CircuitBreakerOptions opts = CircuitBreakerOptions{},
-                          ServingStats* stats = nullptr);
+                          ServingStats* stats = nullptr, Clock clock = {});
 
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
@@ -88,10 +88,10 @@ class CircuitBreaker {
 
  private:
   void transition_locked(BreakerState to, double now);
-  [[nodiscard]] double now_locked() const;
 
   CircuitBreakerOptions opts_;
   ServingStats* stats_;
+  Clock clock_;
 
   mutable std::mutex mu_;
   BreakerState state_ = BreakerState::kClosed;

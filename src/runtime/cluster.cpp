@@ -13,20 +13,6 @@ namespace ahn::runtime {
 
 namespace {
 
-/// An already-resolved batched-request future (routing rejections and
-/// re-wrapped immediate results never enter a queue).
-std::future<Result<Tensor>> ready_result(Result<Tensor> r) {
-  std::promise<Result<Tensor>> p;
-  p.set_value(std::move(r));
-  return p.get_future();
-}
-
-/// Head-sampling draw: true for every `every`'th call (0 = never).
-bool sample_head(std::atomic<std::uint64_t>& ticker, std::size_t every) {
-  return every > 0 &&
-         ticker.fetch_add(1, std::memory_order_relaxed) % every == 0;
-}
-
 /// Appends a shard="<id>" label to a metric name, composing with an
 /// existing label block (`a{model="x"}` -> `a{model="x",shard="3"}`) so the
 /// exposition layer groups per-shard series into one family.
@@ -359,7 +345,7 @@ Status ClusterOrchestrator::run_model(const std::string& name,
   // own serve.* spans then nest under it on this thread.
   std::optional<obs::Span> root;
   if (obs::Tracer::current().trace_id != 0 ||
-      sample_head(trace_ticker_, opts_.shard_opts.trace_sample_every)) {
+      obs::sample_head(trace_ticker_, opts_.shard_opts.trace_sample_every)) {
     root.emplace(*tracer_, "cluster.run_model");
   }
   const std::vector<std::size_t> owners = router_.owners(in_key);
@@ -454,7 +440,7 @@ std::future<Result<Tensor>> ClusterOrchestrator::run_model_batched(
     const std::string& name, Tensor row, RequestOptions request) {
   std::optional<obs::Span> root;
   if (obs::Tracer::current().trace_id != 0 ||
-      sample_head(trace_ticker_, opts_.shard_opts.trace_sample_every)) {
+      obs::sample_head(trace_ticker_, opts_.shard_opts.trace_sample_every)) {
     root.emplace(*tracer_, "cluster.run_model_batched");
   }
   // Round-robin over the alive shards: maximum spread, no key affinity.
@@ -480,7 +466,7 @@ std::future<Result<Tensor>> ClusterOrchestrator::run_model_batched(
     RequestOptions request) {
   std::optional<obs::Span> root;
   if (obs::Tracer::current().trace_id != 0 ||
-      sample_head(trace_ticker_, opts_.shard_opts.trace_sample_every)) {
+      obs::sample_head(trace_ticker_, opts_.shard_opts.trace_sample_every)) {
     root.emplace(*tracer_, "cluster.run_model_batched");
   }
   const std::vector<std::size_t> owners = router_.owners(routing_key);

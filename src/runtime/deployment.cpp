@@ -50,74 +50,4 @@ ServableModel quantized_servable(const ServableModel& base, const Tensor& raw_in
   return copy;
 }
 
-DeployedSurrogate::DeployedSurrogate(
-    std::shared_ptr<const autoencoder::Autoencoder> encoder,
-    nn::TrainedSurrogate surrogate, DeviceModel device)
-    : encoder_(std::move(encoder)), surrogate_(std::move(surrogate)), device_(device) {
-  if (encoder_ != nullptr) encode_ops_ = encoder_->encode_cost(1);
-  infer_ops_ = surrogate_.net.inference_cost(1);
-}
-
-InferenceTiming DeployedSurrogate::timing_for(std::size_t input_bytes,
-                                              std::size_t output_count) const {
-  InferenceTiming t;
-  t.fetch_seconds = device_.transfer_seconds(input_bytes);
-  if (encoder_ != nullptr) {
-    t.encode_seconds = device_.kernel_seconds(encode_ops_, nn_inference_profile());
-  }
-  t.load_seconds = device_.spec().model_load_latency;
-  const WorkloadProfile run_profile = surrogate_.net.precision() == nn::Precision::kInt8
-                                          ? nn_int8_inference_profile()
-                                          : nn_inference_profile();
-  t.run_seconds = device_.kernel_seconds(infer_ops_, run_profile) +
-                  device_.transfer_seconds(sizeof(double) * output_count);
-  return t;
-}
-
-InferenceResult DeployedSurrogate::infer(std::span<const double> features) const {
-  Tensor x({1, features.size()});
-  std::copy(features.begin(), features.end(), x.row(0).begin());
-
-  Tensor reduced = encoder_ != nullptr ? encoder_->encode(x) : std::move(x);
-  const Tensor pred = surrogate_.predict(reduced);
-
-  InferenceResult res;
-  res.outputs.assign(pred.row(0).begin(), pred.row(0).end());
-  res.timing = timing_for(sizeof(double) * features.size(), res.outputs.size());
-  return res;
-}
-
-InferenceResult DeployedSurrogate::infer_sparse(const sparse::Csr& batch,
-                                                std::size_t row) const {
-  AHN_CHECK(row < batch.rows());
-  // Slice the single CSR row out of the batch.
-  sparse::Coo coo;
-  coo.rows = 1;
-  coo.cols = batch.cols();
-  const auto& rp = batch.row_ptr();
-  const auto& ci = batch.col_idx();
-  const auto& v = batch.values();
-  for (std::size_t k = rp[row]; k < rp[row + 1]; ++k) coo.push(0, ci[k], v[k]);
-  const sparse::Csr x = sparse::Csr::from_coo(std::move(coo));
-
-  Tensor reduced;
-  if (encoder_ != nullptr) {
-    reduced = encoder_->encode_sparse(x);
-  } else {
-    reduced = x.to_dense();
-  }
-  const Tensor pred = surrogate_.predict(reduced);
-
-  InferenceResult res;
-  res.outputs.assign(pred.row(0).begin(), pred.row(0).end());
-  // The sparse path only ships the compressed bytes to the device — the
-  // temporal/spatial saving §4.2 claims for the embedding-style first layer.
-  res.timing = timing_for(x.bytes(), res.outputs.size());
-  return res;
-}
-
-double DeployedSurrogate::modeled_seconds(std::size_t feature_bytes) const {
-  return timing_for(feature_bytes, /*output_count=*/1).total();
-}
-
 }  // namespace ahn::runtime

@@ -1,26 +1,15 @@
 #pragma once
-// Deployed surrogate pipeline: optional autoencoder feature reduction in
-// front of the trained surrogate, with modeled online timing per inference
-// (fetch / encode / load / run — the §7.3 online-time breakdown) and the
-// QoI-fallback contract (§7.1: a problem that misses the quality bound is
-// re-run with the original code).
-//
 // DeploymentPackage is the unit Orchestrator::deploy() installs: the
 // servable model bundled with the training-set reference FeatureSketch that
 // the model-health monitor scores live inputs against
 // (docs/OBSERVABILITY.md — drift detection).
 
 #include <memory>
-#include <optional>
 #include <string>
 
-#include "autoencoder/autoencoder.hpp"
 #include "nn/quantization.hpp"
-#include "nn/train.hpp"
 #include "obs/monitor.hpp"
-#include "runtime/device.hpp"
 #include "runtime/orchestrator.hpp"
-#include "sparse/formats.hpp"
 
 namespace ahn::runtime {
 
@@ -65,56 +54,5 @@ struct DeploymentPackage {
 [[nodiscard]] ServableModel quantized_servable(const ServableModel& base,
                                                const Tensor& raw_inputs,
                                                const nn::QuantizationOptions& opts = {});
-
-struct InferenceTiming {
-  double fetch_seconds = 0.0;
-  double encode_seconds = 0.0;
-  double load_seconds = 0.0;
-  double run_seconds = 0.0;
-
-  [[nodiscard]] double total() const noexcept {
-    return fetch_seconds + encode_seconds + load_seconds + run_seconds;
-  }
-};
-
-struct InferenceResult {
-  std::vector<double> outputs;
-  InferenceTiming timing;
-};
-
-/// Thread-safety: const-only after construction — infer() is safe to call
-/// concurrently; the model weights are immutable once deployed.
-class DeployedSurrogate {
- public:
-  DeployedSurrogate(std::shared_ptr<const autoencoder::Autoencoder> encoder,
-                    nn::TrainedSurrogate surrogate, DeviceModel device);
-
-  /// Inference on one problem's dense feature vector.
-  [[nodiscard]] InferenceResult infer(std::span<const double> features) const;
-
-  /// Inference on a CSR batch row (sparse path: no densified input; the
-  /// fetch phase only moves the compressed bytes).
-  [[nodiscard]] InferenceResult infer_sparse(const sparse::Csr& batch,
-                                             std::size_t row) const;
-
-  [[nodiscard]] bool has_encoder() const noexcept { return encoder_ != nullptr; }
-  [[nodiscard]] const nn::TrainedSurrogate& surrogate() const noexcept {
-    return surrogate_;
-  }
-  [[nodiscard]] const DeviceModel& device() const noexcept { return device_; }
-
-  /// Modeled per-problem online seconds (timing.total() of a typical call).
-  [[nodiscard]] double modeled_seconds(std::size_t feature_bytes) const;
-
- private:
-  [[nodiscard]] InferenceTiming timing_for(std::size_t input_bytes,
-                                           std::size_t output_count) const;
-
-  std::shared_ptr<const autoencoder::Autoencoder> encoder_;
-  nn::TrainedSurrogate surrogate_;
-  DeviceModel device_;
-  OpCounts encode_ops_;  ///< per-row encoder cost
-  OpCounts infer_ops_;   ///< per-row surrogate cost
-};
 
 }  // namespace ahn::runtime

@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "common/flops.hpp"
+#include "common/serving_stats.hpp"
 
 namespace ahn::runtime {
 
@@ -76,6 +77,35 @@ class DeviceModel {
   [[nodiscard]] double transfer_seconds(std::uint64_t bytes) const noexcept {
     return spec_.transfer_latency +
            static_cast<double>(bytes) / spec_.transfer_bandwidth;
+  }
+
+  /// The §7.3 online phases of one call serving `rows` rows, priced from
+  /// per-row encoder and surrogate op counts. Serving (Orchestrator::execute)
+  /// and the Eqn-2 evaluation (core::evaluate_pipeline) both price a call
+  /// here:
+  ///  * fetch: `input_bytes` moved to the device;
+  ///  * encode: the encoder kernel (0 without an encoder);
+  ///  * load: one touch of the cached surrogate weights per call;
+  ///  * run: the surrogate kernel at the fp or int8 profile, plus
+  ///    `output_values` results moved back.
+  [[nodiscard]] RequestPhases phases(const OpCounts& encode_ops, const OpCounts& infer_ops,
+                                     bool has_encoder, bool int8, std::size_t rows,
+                                     std::uint64_t input_bytes,
+                                     std::size_t output_values) const noexcept {
+    const auto per_call = [rows](OpCounts ops) {
+      ops.flops *= rows;
+      ops.bytes_read *= rows;
+      ops.bytes_written *= rows;
+      return ops;
+    };
+    RequestPhases p;
+    p.fetch = transfer_seconds(input_bytes);
+    if (has_encoder) p.encode = kernel_seconds(per_call(encode_ops), nn_inference_profile());
+    p.load = spec_.model_load_latency;
+    p.run = kernel_seconds(per_call(infer_ops),
+                           int8 ? nn_int8_inference_profile() : nn_inference_profile()) +
+            transfer_seconds(sizeof(double) * output_values);
+    return p;
   }
 
   /// Modeled energy of a kernel (f_c may be "running time, energy or other

@@ -16,14 +16,6 @@ namespace ahn::runtime {
 
 namespace {
 
-/// An already-resolved batched-request future (rejections and breaker
-/// fallbacks never enter the queue).
-std::future<Result<Tensor>> ready_result(Result<Tensor> r) {
-  std::promise<Result<Tensor>> p;
-  p.set_value(std::move(r));
-  return p.get_future();
-}
-
 /// Row `r` of a rank-2 tensor as its own (1 x cols) tensor.
 Tensor copy_row(const Tensor& t, std::size_t r) {
   return Tensor({1, t.cols()}, std::vector<double>(t.row(r).begin(), t.row(r).end()));
@@ -37,7 +29,8 @@ Orchestrator::Orchestrator(DeviceModel device, OrchestratorOptions opts)
       tracer_(opts.tracer != nullptr ? opts.tracer : &obs::Tracer::global()) {
   // The SLO engine outlives every serving thread (destroyed after the
   // executors join) and feeds this orchestrator's own alert sink/registry.
-  slo_ = std::make_unique<obs::SloEngine>(opts_.slos, &alerts_, &stats_.metrics());
+  slo_ = std::make_unique<obs::SloEngine>(opts_.slos, &alerts_, &stats_.metrics(),
+                                          opts_.clock);
 }
 
 Orchestrator::~Orchestrator() = default;
@@ -159,7 +152,7 @@ Status Orchestrator::begin_rollout(const std::string& name,
   }
 
   auto ro = std::make_shared<ActiveRollout>(name, candidate_version, cand->model,
-                                            std::move(opts));
+                                            std::move(opts), opts_.clock);
   obs::MetricsRegistry& mx = stats_.metrics();
   const std::string lbl = "{model=\"" + name + "\"}";
   ro->shadow_rows = &mx.counter("serving.shadow.rows" + lbl);
@@ -314,7 +307,7 @@ CircuitBreaker& Orchestrator::breaker(const std::string& name) {
         }
       }
     };
-    b = std::make_unique<CircuitBreaker>(std::move(bopts), &stats_);
+    b = std::make_unique<CircuitBreaker>(std::move(bopts), &stats_, opts_.clock);
   }
   return *b;
 }
@@ -357,11 +350,12 @@ Result<Tensor> Orchestrator::execute(const ServableModel& m, const Tensor& input
   }
 
   // Consults the injector for one phase: returns false on a transient fault
-  // (the attempt is abandoned), otherwise folds any latency spike into the
+  // (the attempt is abandoned), otherwise adds any latency spike to that
   // phase's modeled seconds.
+  RequestPhases spikes;
   const char* failed_phase = nullptr;
   const auto probe_phase = [&](ServingPhase p, const char* name,
-                               double& phase_s) -> bool {
+                               double& spike_s) -> bool {
     if (inj == nullptr) return true;
     if (inj->draw_transient(p)) {
       stats_.record_fault_injected("transient");
@@ -371,7 +365,7 @@ Result<Tensor> Orchestrator::execute(const ServableModel& m, const Tensor& input
     const double spike = inj->draw_latency_spike(p);
     if (spike > 0.0) {
       stats_.record_fault_injected("latency_spike");
-      phase_s += spike;
+      spike_s = spike;
     }
     return true;
   };
@@ -381,35 +375,21 @@ Result<Tensor> Orchestrator::execute(const ServableModel& m, const Tensor& input
   };
 
   // (1) fetch: move the input tensor onto the device.
-  double fetch_s = device_.transfer_seconds(sizeof(double) * input.size());
-  if (!probe_phase(ServingPhase::kFetch, "fetch", fetch_s)) return transient();
+  if (!probe_phase(ServingPhase::kFetch, "fetch", spikes.fetch)) return transient();
 
   // (2) encode: feature reduction on device (skipped without an encoder).
-  double encode_s = 0.0;
   Tensor reduced = m.encode ? m.encode(input) : input;
-  if (m.encode) {
-    OpCounts per_batch = m.encode_ops;
-    per_batch.flops *= batch;
-    per_batch.bytes_read *= batch;
-    per_batch.bytes_written *= batch;
-    encode_s = device_.kernel_seconds(per_batch, nn_inference_profile());
-    if (!probe_phase(ServingPhase::kEncode, "encode", encode_s)) return transient();
+  if (m.encode && !probe_phase(ServingPhase::kEncode, "encode", spikes.encode)) {
+    return transient();
   }
 
   // (3) load: touch the cached surrogate weights (once per batch — this is
   // the phase micro-batching amortizes, §7.3).
-  double load_s = device_.spec().model_load_latency;
-  if (!probe_phase(ServingPhase::kLoad, "load", load_s)) return transient();
+  if (!probe_phase(ServingPhase::kLoad, "load", spikes.load)) return transient();
 
   // (4) run: surrogate inference + result transfer back.
   Tensor out = m.surrogate.predict(reduced);
-  OpCounts run_ops = m.infer_ops;
-  run_ops.flops *= batch;
-  run_ops.bytes_read *= batch;
-  run_ops.bytes_written *= batch;
-  double run_s = device_.kernel_seconds(run_ops, nn_inference_profile()) +
-                 device_.transfer_seconds(sizeof(double) * out.size());
-  if (!probe_phase(ServingPhase::kRun, "run", run_s)) return transient();
+  if (!probe_phase(ServingPhase::kRun, "run", spikes.run)) return transient();
 
   // NaN corruption: one output row silently poisoned — the QoI guard in
   // finalize_batch is what must catch it, exactly as a real device fault
@@ -420,17 +400,20 @@ Result<Tensor> Orchestrator::execute(const ServableModel& m, const Tensor& input
     for (double& v : out.row(r)) v = std::numeric_limits<double>::quiet_NaN();
   }
 
-  if (batch_phases != nullptr) {
-    batch_phases->fetch = fetch_s;
-    batch_phases->encode = encode_s;
-    batch_phases->load = load_s;
-    batch_phases->run = run_s;
-  }
+  RequestPhases phases = device_.phases(
+      m.encode_ops, m.infer_ops, static_cast<bool>(m.encode),
+      m.surrogate.net.precision() == nn::Precision::kInt8, batch,
+      sizeof(double) * input.size(), out.size());
+  phases.fetch += spikes.fetch;
+  phases.encode += spikes.encode;
+  phases.load += spikes.load;
+  phases.run += spikes.run;
+  if (batch_phases != nullptr) *batch_phases = phases;
   if (opts_.simulate_device_occupancy) {
     // Stand in for the accelerator: the whole batch holds the device for its
     // modeled online time, however many rows it coalesced. Busy-wait rather
     // than sleep — the waits are tens of microseconds, below timer slack.
-    const double busy_s = fetch_s + encode_s + load_s + run_s;
+    const double busy_s = phases.total();
     for (Timer t; t.seconds() < busy_s;) {
     }
   }
@@ -506,12 +489,8 @@ std::future<Result<Tensor>> Orchestrator::run_model_batched(const std::string& n
   // covers admission + enqueue; the queue carries its context the rest of
   // the way (batch_wait -> execute -> qoi children + exemplars).
   std::optional<obs::Span> span;
-  if (obs::Tracer::current().trace_id != 0) {
-    span.emplace(*tracer_, "serve.run_model_batched");
-  } else if (opts_.trace_sample_every > 0 &&
-             trace_ticker_.fetch_add(1, std::memory_order_relaxed) %
-                     opts_.trace_sample_every ==
-                 0) {
+  if (obs::Tracer::current().trace_id != 0 ||
+      obs::sample_head(trace_ticker_, opts_.trace_sample_every)) {
     span.emplace(*tracer_, "serve.run_model_batched");
   }
   const std::shared_ptr<const ServableModel> m = registry_.active_model(name);
@@ -524,7 +503,7 @@ std::future<Result<Tensor>> Orchestrator::run_model_batched(const std::string& n
   if (std::optional<Tensor> exact = breaker_fallback(name, *m, row)) {
     return ready_result(Result<Tensor>(std::move(*exact)));
   }
-  return batches().submit(name, std::move(row), request.deadline);
+  return batches().submit(name, std::move(row), request.timeout_seconds);
 }
 
 std::optional<Tensor> Orchestrator::breaker_fallback(const std::string& name,
@@ -726,7 +705,7 @@ BatchingQueue& Orchestrator::batches() {
           const std::shared_ptr<const ServableModel> m = registry_.active_model(model_name);
           return serve(model_name, m.get(), batch, contexts);
         },
-        bopts, &stats_, tracer_);
+        bopts, &stats_, tracer_, opts_.clock);
   });
   return *batches_;
 }

@@ -21,7 +21,7 @@
 //    instead of raw ahn::Error exceptions;
 //  * transient faults are retried with exponential backoff + jitter
 //    (RetryPolicy) before surfacing kTransientFailure;
-//  * batched requests may carry a deadline (RequestOptions); expired
+//  * batched requests may carry a time budget (RequestOptions); expired
 //    requests resolve kDeadlineExceeded and are never coalesced;
 //  * a per-model QoI circuit breaker turns the §7.1 per-request fallback
 //    into systemic degradation: a high fallback rate routes traffic
@@ -130,21 +130,26 @@ struct OrchestratorOptions {
   /// gauges land in stats().metrics() and edge-triggered kSloBurn alerts in
   /// alerts(). Empty = no SLO engine overhead beyond an empty loop.
   std::vector<obs::SloSpec> slos;
+
+  /// The time source of every time-based serving decision: breaker
+  /// cool-downs, rollout stage timeouts, SLO burn windows, request
+  /// deadlines and the measured batch wait. Default: steady_clock; tests
+  /// inject one fake to drive them all.
+  Clock clock;
 };
 
 /// Per-request options for the batched path.
 struct RequestOptions {
-  /// Absolute completion deadline; unset = no deadline. A request that
-  /// expires before its batch dispatches resolves kDeadlineExceeded and is
-  /// not coalesced.
-  BatchingQueue::Deadline deadline{};
+  /// Completion budget in seconds on OrchestratorOptions::clock, counted
+  /// from submission; unset = no deadline. A request whose budget runs out
+  /// before its batch dispatches resolves kDeadlineExceeded and is not
+  /// coalesced; a budget <= 0 resolves so at once.
+  std::optional<double> timeout_seconds;
 
-  /// Convenience: a deadline `seconds` from now.
+  /// Convenience: a deadline `seconds` from submission.
   [[nodiscard]] static RequestOptions within(double seconds) {
     RequestOptions o;
-    o.deadline = BatchingQueue::Clock::now() +
-                 std::chrono::duration_cast<BatchingQueue::Clock::duration>(
-                     std::chrono::duration<double>(seconds));
+    o.timeout_seconds = seconds;
     return o;
   }
 };
@@ -342,8 +347,11 @@ class Orchestrator : public RolloutHost {
   /// per-row loop must not re-hash metric names).
   struct ActiveRollout {
     ActiveRollout(std::string model_name, std::uint64_t v,
-                  std::shared_ptr<const ServableModel> cand, RolloutOptions opts)
-        : version(v), candidate(std::move(cand)), ctl(std::move(model_name), v, std::move(opts)) {}
+                  std::shared_ptr<const ServableModel> cand, RolloutOptions opts,
+                  const Clock& clock)
+        : version(v),
+          candidate(std::move(cand)),
+          ctl(std::move(model_name), v, std::move(opts), clock) {}
 
     std::uint64_t version;
     std::shared_ptr<const ServableModel> candidate;

@@ -1,34 +1,20 @@
 #include "runtime/rollout.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 #include "common/log.hpp"
 
 namespace ahn::runtime {
 
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 RolloutController::RolloutController(std::string model,
                                      std::uint64_t candidate_version,
-                                     RolloutOptions opts)
+                                     RolloutOptions opts, Clock clock)
     : model_(std::move(model)),
       candidate_version_(candidate_version),
-      opts_(std::move(opts)) {
-  stage_started_ = now_locked();
-}
-
-double RolloutController::now_locked() const {
-  return opts_.clock ? opts_.clock() : steady_seconds();
+      opts_(std::move(opts)),
+      clock_(std::move(clock)) {
+  stage_started_ = clock_.now();
 }
 
 void RolloutController::transition_locked(RolloutState to, std::string reason) {
@@ -39,7 +25,7 @@ void RolloutController::transition_locked(RolloutState to, std::string reason) {
                                << (reason.empty() ? "" : ": ") << reason);
   state_ = to;
   if (!reason.empty()) reason_ = std::move(reason);
-  stage_started_ = now_locked();
+  stage_started_ = clock_.now();
 }
 
 RolloutState RolloutController::record_shadow(bool active_ok, bool candidate_ok) {
@@ -108,7 +94,7 @@ RolloutState RolloutController::poll() {
   const std::lock_guard<std::mutex> lock(mu_);
   if ((state_ == RolloutState::kShadow || state_ == RolloutState::kCanary) &&
       opts_.stage_timeout_seconds > 0.0 &&
-      now_locked() - stage_started_ > opts_.stage_timeout_seconds) {
+      clock_.now() - stage_started_ > opts_.stage_timeout_seconds) {
     std::ostringstream why;
     why << rollout_state_name(state_) << " stage exceeded its "
         << opts_.stage_timeout_seconds << "s budget";

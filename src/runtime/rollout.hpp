@@ -36,6 +36,7 @@
 #include <string>
 
 #include "common/status.hpp"
+#include "common/timer.hpp"
 
 namespace ahn::obs {
 class AlertSink;
@@ -97,8 +98,6 @@ struct RolloutOptions {
   /// after the deciding batch. The cluster coordinator sets this false and
   /// finalizes only when every shard has decided.
   bool auto_finalize = true;
-  /// Monotonic seconds source; empty = steady_clock. Tests inject a fake.
-  std::function<double()> clock;
 };
 
 /// Point-in-time rollout progress (merged into health/metrics views).
@@ -118,8 +117,9 @@ struct RolloutSnapshot {
 /// batch-execution threads, poll/finalize from the Retrainer or coordinator.
 class RolloutController {
  public:
+  /// `clock` times the stage budgets (the hosting Orchestrator's Clock).
   RolloutController(std::string model, std::uint64_t candidate_version,
-                    RolloutOptions opts);
+                    RolloutOptions opts, Clock clock = {});
   RolloutController(const RolloutController&) = delete;
   RolloutController& operator=(const RolloutController&) = delete;
 
@@ -155,11 +155,11 @@ class RolloutController {
 
  private:
   void transition_locked(RolloutState to, std::string reason);
-  [[nodiscard]] double now_locked() const;
 
   const std::string model_;
   const std::uint64_t candidate_version_;
   const RolloutOptions opts_;
+  const Clock clock_;
 
   mutable std::mutex mu_;
   RolloutState state_ = RolloutState::kShadow;

@@ -1,5 +1,6 @@
 // Tests for src/core: Table-1 config parsing, Eqn-2/Eqn-3 evaluation
-// mechanics (fallback accounting, breakdown), and a miniature end-to-end
+// mechanics (fallback accounting, the modeled phase breakdown, the sparse
+// and encoder paths), and a miniature end-to-end
 // pipeline run on the cheapest application.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "core/config.hpp"
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
+#include "sparse/generators.hpp"
 #include "team_budgets.hpp"
 
 namespace ahn::core {
@@ -169,6 +171,119 @@ TEST(Evaluation, BreakdownSumsToOnlineTotal) {
   // re-measured so allow generous slack).
   EXPECT_NEAR(ev.surrogate_seconds, ev.breakdown.total() + others,
               0.5 * ev.surrogate_seconds);
+}
+
+/// A fixed table of input rows behind the Application interface, with the
+/// sparse input path switchable, so the evaluation's phase accounting can be
+/// checked on chosen inputs. Every problem hits; the surrogate outputs each
+/// problem is scored on are kept in `scored`.
+class TableApp : public apps::Application {
+ public:
+  TableApp(std::vector<std::vector<double>> rows, std::size_t outputs, bool sparse)
+      : rows_(std::move(rows)), outputs_(outputs), sparse_(sparse) {}
+
+  std::string name() const override { return "table"; }
+  apps::AppType type() const override { return apps::AppType::TypeI; }
+  std::string replaced_function() const override { return "lookup"; }
+  std::string qoi_name() const override { return "none"; }
+  void generate_problems(std::size_t, std::uint64_t) override {}
+  std::size_t problem_count() const override { return rows_.size(); }
+  std::size_t input_dim() const override { return rows_.front().size(); }
+  std::size_t output_dim() const override { return outputs_; }
+  std::vector<double> input_features(std::size_t i) const override { return rows_.at(i); }
+  bool has_sparse_input() const override { return sparse_; }
+  apps::RegionRun run_region(std::size_t) const override {
+    apps::RegionRun run;
+    run.outputs.assign(outputs_, 0.0);
+    run.region_seconds = 1e-3;
+    return run;
+  }
+  double other_part_seconds(std::size_t) const override { return 0.0; }
+  double qoi(std::size_t, std::span<const double>) const override { return 0.0; }
+  double qoi_error(std::size_t, std::span<const double>,
+                   std::span<const double> surrogate_outputs) const override {
+    scored.emplace_back(surrogate_outputs.begin(), surrogate_outputs.end());
+    return 0.0;
+  }
+
+  mutable std::vector<std::vector<double>> scored;
+
+ private:
+  std::vector<std::vector<double>> rows_;
+  std::size_t outputs_;
+  bool sparse_;
+};
+
+nas::PipelineModel one_layer_model(std::size_t in, std::size_t out, Rng& rng) {
+  nn::TopologySpec spec;
+  spec.num_layers = 1;
+  spec.hidden_units = 8;
+  nas::PipelineModel pm;
+  pm.surrogate.net = nn::build_surrogate(spec, in, out, rng);
+  pm.spec = spec;
+  return pm;
+}
+
+TEST(Evaluation, BreakdownSumsTheModeledPhasesOfEveryProblem) {
+  Rng rng(2);
+  const nas::PipelineModel pm = one_layer_model(6, 3, rng);
+  const TableApp app({{1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1}}, 3, /*sparse=*/false);
+  const std::vector<std::size_t> problems{0, 1};
+  const runtime::DeviceModel dev;
+  const AppEvaluation ev = evaluate_pipeline(app, problems, pm, dev);
+  ASSERT_EQ(app.scored.size(), 2u);
+  EXPECT_EQ(app.scored[0].size(), 3u);
+  const std::vector<std::size_t> first{0};
+  const AppEvaluation one = evaluate_pipeline(app, first, pm, dev);
+
+  EXPECT_EQ(ev.breakdown.fetch, 2 * dev.transfer_seconds(sizeof(double) * 6));
+  EXPECT_EQ(ev.breakdown.encode, 0.0);  // no encoder, no encode phase
+  EXPECT_EQ(ev.breakdown.load, 2 * dev.spec().model_load_latency);
+  EXPECT_GT(ev.breakdown.run, 0.0);
+  EXPECT_EQ(ev.breakdown.run, 2 * one.breakdown.run);
+  // Every problem hits and the app has no other part: the surrogate path
+  // costs exactly its online phases.
+  EXPECT_DOUBLE_EQ(ev.surrogate_seconds, ev.breakdown.total());
+}
+
+TEST(Evaluation, SparseFetchShipsFewerBytesWithSameOutputs) {
+  Rng rng(3);
+  const std::size_t width = 400;
+  const nas::PipelineModel pm = one_layer_model(width, 2, rng);
+  // One very sparse row, served through the CSR path and densified.
+  const Tensor dense = sparse::random_sparse(1, width, 0.02, rng).to_dense();
+  const std::vector<std::vector<double>> rows{{dense.row(0).begin(), dense.row(0).end()}};
+  const TableApp sparse_app(rows, 2, /*sparse=*/true);
+  const TableApp dense_app(rows, 2, /*sparse=*/false);
+  const std::vector<std::size_t> problems{0};
+  const AppEvaluation s = evaluate_pipeline(sparse_app, problems, pm, runtime::DeviceModel{});
+  const AppEvaluation d = evaluate_pipeline(dense_app, problems, pm, runtime::DeviceModel{});
+
+  // The sparse fetch moves the compressed payload only (§4.2's saving).
+  EXPECT_LT(s.breakdown.fetch, d.breakdown.fetch);
+  EXPECT_EQ(s.breakdown.run, d.breakdown.run);
+  // Same math, same outputs.
+  ASSERT_EQ(sparse_app.scored.size(), 1u);
+  ASSERT_EQ(dense_app.scored.size(), 1u);
+  ASSERT_EQ(sparse_app.scored[0].size(), dense_app.scored[0].size());
+  for (std::size_t i = 0; i < sparse_app.scored[0].size(); ++i) {
+    EXPECT_NEAR(sparse_app.scored[0][i], dense_app.scored[0][i], 1e-9);
+  }
+}
+
+TEST(Evaluation, EncoderAddsEncodePhase) {
+  Rng rng(4);
+  autoencoder::AutoencoderConfig acfg;
+  acfg.latent_dim = 4;
+  nas::PipelineModel pm = one_layer_model(4, 2, rng);
+  pm.encoder = std::make_shared<autoencoder::Autoencoder>(16, acfg);
+  pm.latent_k = 4;
+  const TableApp app({std::vector<double>(16, 0.5)}, 2, /*sparse=*/false);
+  const std::vector<std::size_t> problems{0};
+  const AppEvaluation ev = evaluate_pipeline(app, problems, pm, runtime::DeviceModel{});
+  EXPECT_GT(ev.breakdown.encode, 0.0);
+  ASSERT_EQ(app.scored.size(), 1u);
+  EXPECT_EQ(app.scored[0].size(), 2u);
 }
 
 TEST(Pipeline, MiniEndToEndOnMg) {

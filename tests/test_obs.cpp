@@ -7,12 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -444,6 +443,184 @@ TEST(Exposition, DisjointSnapshotsMergeAndRoundTripBothFormats) {
   EXPECT_NE(json.str().find("\"beta.requests\": 20"), std::string::npos);
 }
 
+/// A fixed snapshot for the byte-exact exporter tests: labelled names (one
+/// family split across label sets), the three HELP sources (a curated
+/// family, a prefix fallback, an unknown family), non-finite gauges, a
+/// histogram with exemplars on some buckets, and an empty histogram.
+obs::RegistrySnapshot golden_snapshot() {
+  obs::RegistrySnapshot s;
+  s.counters["serving.requests_served"] = 7;
+  s.counters["serving.fault.transient"] = 2;
+  s.counters["serving.rollout.promotions{model=\"heat3d\",shard=\"1\"}"] = 3;
+  s.counters["serving.rollout.promotions{model=\"wave\"}"] = 1;
+  s.counters["custom.widgets"] = 11;
+  s.gauges["serving.breaker_state{model=\"heat3d\"}"] = 2.0;
+  s.gauges["cluster.modeled_rps"] = 1234.5;
+  s.gauges["custom.ratio"] = 0.1;
+  s.gauges["custom.broken"] = std::numeric_limits<double>::quiet_NaN();
+  s.gauges["custom.unbounded"] = std::numeric_limits<double>::infinity();
+
+  obs::HistogramSnapshot h;
+  h.buckets[59] = 3;  // upper bound 1e-06
+  h.buckets[79] = 4;  // upper bound 1e-05
+  h.buckets[99] = 1;  // upper bound 0.0001
+  h.exemplars[79] = {42, 5e-6};
+  h.exemplars[99] = {7, 6.5e-5};
+  h.count = 8;
+  h.sum = 1.0e-4;
+  h.min = 9e-7;
+  h.max = 6.5e-5;
+  s.histograms["serving.latency.total"] = h;
+  s.histograms["serving.batch_wait_seconds{model=\"heat3d\"}"] = obs::HistogramSnapshot{};
+  return s;
+}
+
+// The exact bytes both formats export for golden_snapshot(). Any change to
+// them is a change to what scrapers and the committed BENCH_* files see.
+TEST(Exposition, GoldenPrometheusBytes) {
+  const std::string plain = R"golden(# HELP custom_widgets Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_widgets counter
+custom_widgets 11
+# HELP serving_fault_transient Injected faults of one kind (suffix) observed by the serving path.
+# TYPE serving_fault_transient counter
+serving_fault_transient 2
+# HELP serving_requests_served Requests served by this orchestrator.
+# TYPE serving_requests_served counter
+serving_requests_served 7
+# HELP serving_rollout_promotions Rollout candidates promoted to serving.
+# TYPE serving_rollout_promotions counter
+serving_rollout_promotions{model="heat3d",shard="1"} 3
+serving_rollout_promotions{model="wave"} 1
+# HELP cluster_modeled_rps Device-bound aggregate throughput (rows/second).
+# TYPE cluster_modeled_rps gauge
+cluster_modeled_rps 1234.5
+# HELP custom_broken Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_broken gauge
+custom_broken NaN
+# HELP custom_ratio Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_ratio gauge
+custom_ratio 0.10000000000000001
+# HELP custom_unbounded Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_unbounded gauge
+custom_unbounded +Inf
+# HELP serving_breaker_state QoI breaker state (0 closed / 1 open / 2 half-open).
+# TYPE serving_breaker_state gauge
+serving_breaker_state{model="heat3d"} 2
+# HELP serving_batch_wait_seconds Measured wait of each dispatched micro-batch, first row's enqueue to dispatch.
+# TYPE serving_batch_wait_seconds histogram
+serving_batch_wait_seconds_bucket{model="heat3d",le="+Inf"} 0
+serving_batch_wait_seconds_sum{model="heat3d"} 0
+serving_batch_wait_seconds_count{model="heat3d"} 0
+# HELP serving_latency_total Modeled per-request total online latency (seconds).
+# TYPE serving_latency_total histogram
+serving_latency_total_bucket{le="9.9999999999999995e-07"} 3
+serving_latency_total_bucket{le="1.0000000000000001e-05"} 7
+serving_latency_total_bucket{le="0.0001"} 8
+serving_latency_total_bucket{le="+Inf"} 8
+serving_latency_total_sum 0.0001
+serving_latency_total_count 8
+)golden";
+  EXPECT_EQ(obs::export_prometheus_string(golden_snapshot()), plain);
+
+  const std::string openmetrics = R"golden(# HELP custom_widgets Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_widgets counter
+custom_widgets 11
+# HELP serving_fault_transient Injected faults of one kind (suffix) observed by the serving path.
+# TYPE serving_fault_transient counter
+serving_fault_transient 2
+# HELP serving_requests_served Requests served by this orchestrator.
+# TYPE serving_requests_served counter
+serving_requests_served 7
+# HELP serving_rollout_promotions Rollout candidates promoted to serving.
+# TYPE serving_rollout_promotions counter
+serving_rollout_promotions{model="heat3d",shard="1"} 3
+serving_rollout_promotions{model="wave"} 1
+# HELP cluster_modeled_rps Device-bound aggregate throughput (rows/second).
+# TYPE cluster_modeled_rps gauge
+cluster_modeled_rps 1234.5
+# HELP custom_broken Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_broken gauge
+custom_broken NaN
+# HELP custom_ratio Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_ratio gauge
+custom_ratio 0.10000000000000001
+# HELP custom_unbounded Auto-HPCnet metric; see docs/OBSERVABILITY.md for the inventory.
+# TYPE custom_unbounded gauge
+custom_unbounded +Inf
+# HELP serving_breaker_state QoI breaker state (0 closed / 1 open / 2 half-open).
+# TYPE serving_breaker_state gauge
+serving_breaker_state{model="heat3d"} 2
+# HELP serving_batch_wait_seconds Measured wait of each dispatched micro-batch, first row's enqueue to dispatch.
+# TYPE serving_batch_wait_seconds histogram
+serving_batch_wait_seconds_bucket{model="heat3d",le="+Inf"} 0
+serving_batch_wait_seconds_sum{model="heat3d"} 0
+serving_batch_wait_seconds_count{model="heat3d"} 0
+# HELP serving_latency_total Modeled per-request total online latency (seconds).
+# TYPE serving_latency_total histogram
+serving_latency_total_bucket{le="9.9999999999999995e-07"} 3
+serving_latency_total_bucket{le="1.0000000000000001e-05"} 7 # {trace_id="42"} 5.0000000000000004e-06
+serving_latency_total_bucket{le="0.0001"} 8 # {trace_id="7"} 6.4999999999999994e-05
+serving_latency_total_bucket{le="+Inf"} 8
+serving_latency_total_sum 0.0001
+serving_latency_total_count 8
+# EOF
+)golden";
+  obs::PrometheusOptions om;
+  om.exemplars = true;
+  om.openmetrics_eof = true;
+  EXPECT_EQ(obs::export_prometheus_string(golden_snapshot(), om), openmetrics);
+}
+
+TEST(ExportJson, GoldenBytes) {
+  const std::string expected = R"golden({
+  "counters": {
+    "custom.widgets": 11,
+    "serving.fault.transient": 2,
+    "serving.requests_served": 7,
+    "serving.rollout.promotions{model=\"heat3d\",shard=\"1\"}": 3,
+    "serving.rollout.promotions{model=\"wave\"}": 1
+  },
+  "gauges": {
+    "cluster.modeled_rps": 1234.5,
+    "custom.broken": 0,
+    "custom.ratio": 0.10000000000000001,
+    "custom.unbounded": 0,
+    "serving.breaker_state{model=\"heat3d\"}": 2
+  },
+  "histograms": {
+    "serving.batch_wait_seconds{model=\"heat3d\"}": {
+      "count": 0,
+      "sum": 0,
+      "mean": 0,
+      "min": 0,
+      "max": 0,
+      "p50": 0,
+      "p95": 0,
+      "p99": 0,
+      "buckets": []
+    },
+    "serving.latency.total": {
+      "count": 8,
+      "sum": 0.0001,
+      "mean": 1.2500000000000001e-05,
+      "min": 8.9999999999999996e-07,
+      "max": 6.4999999999999994e-05,
+      "p50": 9.0484457086702773e-06,
+      "p95": 9.904844570867029e-06,
+      "p99": 9.9809689141734058e-06,
+      "buckets": [
+        {"le": 9.9999999999999995e-07, "count": 3},
+        {"le": 1.0000000000000001e-05, "count": 4},
+        {"le": 0.0001, "count": 1}
+      ]
+    }
+  }
+})golden";
+  std::ostringstream json;
+  obs::export_json(json, golden_snapshot());
+  EXPECT_EQ(json.str(), expected);
+}
+
 TEST(Exposition, ChromeTraceExportIsSchemaValid) {
   obs::Tracer tracer;
   {
@@ -525,22 +702,25 @@ TEST(Exposition, OpenMetricsExemplarsLinkBucketsToTraces) {
             std::string::npos);
 }
 
-TEST(Exposition, HelpRegistryFeedsHelpLines) {
-  obs::register_metric_help("serving.test_family",
-                            "Curated help text\nwith a newline");
+TEST(Exposition, HelpTableFeedsHelpLines) {
   obs::MetricsRegistry reg;
-  reg.counter("serving.test_family").increment();
+  reg.counter("serving.retries").increment();
+  reg.counter("serving.breaker_transition.closed->open").increment();
   reg.counter("serving.completely_unknown").increment();
 
   const std::string text = obs::export_prometheus_string(reg.snapshot());
   expect_valid_prometheus(text);
-  // Registered help is emitted with the newline escaped; unknown families
-  // still get a HELP line from the fallback.
-  EXPECT_NE(text.find("# HELP serving_test_family Curated help text\\n"
-                      "with a newline"),
+  // Curated text for a runtime family (by dotted or exported name), a
+  // per-prefix text for a derived family, and the generic fallback for an
+  // unknown one: every family gets a HELP line.
+  EXPECT_NE(text.find("# HELP serving_retries Retry attempts after transient faults.\n"),
+            std::string::npos);
+  EXPECT_EQ(obs::metric_help("serving.retries"), obs::metric_help("serving_retries"));
+  EXPECT_NE(text.find("# HELP serving_breaker_transition_closed__open QoI circuit-breaker"),
             std::string::npos);
   EXPECT_NE(text.find("# HELP serving_completely_unknown "), std::string::npos);
-  EXPECT_FALSE(obs::metric_help("serving_completely_unknown").empty());
+  EXPECT_NE(obs::metric_help("serving_completely_unknown").find("docs/OBSERVABILITY.md"),
+            std::string::npos);
 }
 
 TEST(Exposition, ChromeTraceFlowEventsLinkCrossThreadSpans) {
@@ -586,61 +766,9 @@ TEST(Exposition, ChromeTraceFlowEventsLinkCrossThreadSpans) {
 
 TEST(Exposition, FileWritersReportFailureForBadPaths) {
   obs::MetricsRegistry reg;
-  obs::Tracer tracer;
   EXPECT_FALSE(obs::export_prometheus_file("/nonexistent-dir/x.prom", reg));
-  EXPECT_FALSE(obs::export_chrome_trace_file("/nonexistent-dir/x.json", tracer));
   EXPECT_TRUE(obs::export_prometheus_file("test_obs_exposition.prom", reg));
-  EXPECT_TRUE(obs::export_chrome_trace_file("test_obs_trace.json", tracer));
   std::remove("test_obs_exposition.prom");
-  std::remove("test_obs_trace.json");
-}
-
-TEST(Exposition, PeriodicExporterWritesAndStopsCleanly) {
-  obs::MetricsRegistry reg;
-  reg.counter("ticks").increment(3);
-  obs::Tracer tracer;
-  { const obs::Span s(tracer, "periodic.work"); }
-
-  obs::PeriodicExporter::Options opts;
-  opts.period_seconds = 0.005;
-  opts.prometheus_path = "test_obs_periodic.prom";
-  opts.json_path = "test_obs_periodic.json";
-  opts.chrome_trace_path = "test_obs_periodic_trace.json";
-  opts.registry = &reg;
-  opts.tracer = &tracer;
-  {
-    obs::PeriodicExporter exporter(opts);
-    // Wait for at least one periodic pass (bounded, not timing-sensitive).
-    for (Timer t; exporter.exports_completed() == 0 && t.seconds() < 5.0;) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_GE(exporter.exports_completed(), 1u);
-    reg.counter("ticks").increment(39);  // visible in the final export
-  }  // destructor: stop + final export
-
-  std::ifstream prom("test_obs_periodic.prom");
-  ASSERT_TRUE(prom.good());
-  std::stringstream buf;
-  buf << prom.rdbuf();
-  expect_valid_prometheus(buf.str());
-  EXPECT_NE(buf.str().find("ticks 42"), std::string::npos);
-
-  std::ifstream json("test_obs_periodic.json");
-  ASSERT_TRUE(json.good());
-  std::stringstream jbuf;
-  jbuf << json.rdbuf();
-  expect_balanced_json(jbuf.str());
-
-  std::ifstream trace("test_obs_periodic_trace.json");
-  ASSERT_TRUE(trace.good());
-  std::stringstream tbuf;
-  tbuf << trace.rdbuf();
-  expect_balanced_json(tbuf.str());
-  EXPECT_NE(tbuf.str().find("periodic.work"), std::string::npos);
-
-  std::remove("test_obs_periodic.prom");
-  std::remove("test_obs_periodic.json");
-  std::remove("test_obs_periodic_trace.json");
 }
 
 TEST(ServingStatsObs, RegistryCountersMatchSnapshot) {

@@ -1,8 +1,9 @@
 // Tests for the serving-runtime reliability layer (docs/RELIABILITY.md):
 // the Status/Result taxonomy, the deterministic FaultInjector, the QoI
 // circuit breaker state machine, per-request deadlines, transient-fault
-// retries, graceful drain/shutdown, and the no-hung-future contract under
-// injected faults + concurrent shutdown.
+// retries, one injected clock behind every time-based decision, graceful
+// drain/shutdown, and the no-hung-future contract under injected faults +
+// concurrent shutdown.
 
 #include <gtest/gtest.h>
 
@@ -87,21 +88,24 @@ TEST(FaultInjector, SpecIsRuntimeMutable) {
 
 // ------------------------------------------------------------ CircuitBreaker
 
-CircuitBreakerOptions fast_breaker(std::atomic<double>* fake_clock) {
+CircuitBreakerOptions fast_breaker() {
   CircuitBreakerOptions o;
   o.window = 8;
   o.min_samples = 4;
   o.trip_threshold = 0.5;
   o.cooldown_seconds = 1.0;
   o.half_open_probes = 2;
-  o.clock = [fake_clock] { return fake_clock->load(); };
   return o;
+}
+
+Clock fake(const std::atomic<double>* clock) {
+  return [clock] { return clock->load(); };
 }
 
 TEST(CircuitBreaker, TripsOnFallbackRateAndRecoversViaProbes) {
   std::atomic<double> clock{0.0};
   ServingStats stats;
-  CircuitBreaker br(fast_breaker(&clock), &stats);
+  CircuitBreaker br(fast_breaker(), &stats, fake(&clock));
   EXPECT_EQ(br.state(), BreakerState::kClosed);
 
   // Four straight misses: rate 1.0 over >= min_samples trips the breaker.
@@ -140,7 +144,7 @@ TEST(CircuitBreaker, TripsOnFallbackRateAndRecoversViaProbes) {
 
 TEST(CircuitBreaker, ProbeMissReopens) {
   std::atomic<double> clock{0.0};
-  CircuitBreaker br(fast_breaker(&clock));
+  CircuitBreaker br(fast_breaker(), nullptr, fake(&clock));
   for (int i = 0; i < 4; ++i) {
     (void)br.admit();
     br.record_outcome(false);
@@ -197,9 +201,7 @@ TEST(Reliability, ExpiredDeadlineIsNotCoalesced) {
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", rig_model());
 
-  RequestOptions expired;
-  expired.deadline = BatchingQueue::Clock::now() - std::chrono::milliseconds(1);
-  auto dead = orc.run_model_batched("m", request_row(), expired);
+  auto dead = orc.run_model_batched("m", request_row(), RequestOptions::within(-1e-3));
   // Resolved immediately, without reaching a batch.
   EXPECT_EQ(dead.get().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(orc.stats().batches_executed(), 0u);
@@ -345,7 +347,7 @@ TEST(Reliability, KeyedRowsOnAnOpenBreakerServeTheOriginalCode) {
   opts.breaker.min_samples = 4;
   opts.breaker.trip_threshold = 0.5;
   opts.breaker.cooldown_seconds = 1.0;
-  opts.breaker.clock = [fake_clock] { return fake_clock->load(); };
+  opts.clock = [fake_clock] { return fake_clock->load(); };
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", rig_model([](const Tensor&, const Tensor&) { return false; },
                                exact_row));
@@ -401,7 +403,7 @@ TEST(Reliability, BreakerLifecycleUnderQoIFaults) {
   opts.breaker.trip_threshold = 0.5;
   opts.breaker.cooldown_seconds = 1.0;
   opts.breaker.half_open_probes = 2;
-  opts.breaker.clock = [fake_clock] { return fake_clock->load(); };
+  opts.clock = [fake_clock] { return fake_clock->load(); };
   Orchestrator orc(DeviceModel{}, opts);
   orc.set_model("m", rig_model(
                          [faulty](const Tensor&, const Tensor&) {
@@ -453,6 +455,88 @@ TEST(Reliability, BreakerLifecycleUnderQoIFaults) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_NE(r.value().at(0, 0), 42.0);
   EXPECT_EQ(orc.stats().batches_executed(), before + 1);
+}
+
+// One OrchestratorOptions::clock times every decision of one Orchestrator:
+// a batched request's deadline and its measured batch wait, the breaker's
+// cool-down and an SLO's burn window all follow the same fake time, while
+// the wall clock barely moves.
+TEST(Reliability, OneClockDrivesDeadlinesBreakerAndSloWindows) {
+  auto now = std::make_shared<std::atomic<double>>(100.0);
+  auto faulty = std::make_shared<std::atomic<bool>>(false);
+  OrchestratorOptions opts;
+  opts.max_batch = 8;
+  opts.batch_flusher = false;
+  opts.breaker.window = 8;
+  opts.breaker.min_samples = 4;
+  opts.breaker.trip_threshold = 0.5;
+  opts.breaker.cooldown_seconds = 5.0;
+  opts.breaker.half_open_probes = 1;
+  obs::SloSpec fallbacks;
+  fallbacks.name = "fallbacks";
+  fallbacks.kind = obs::SloKind::kQoiFallbackRate;
+  fallbacks.objective = 0.5;  // budget 0.5: an all-miss stream burns at 2
+  fallbacks.fast_window_seconds = 1.0;
+  fallbacks.mid_window_seconds = 1.0;
+  fallbacks.slow_window_seconds = 1.0;
+  fallbacks.page_burn_threshold = 1.5;
+  fallbacks.ticket_burn_threshold = 1e9;
+  opts.slos = {fallbacks};
+  opts.clock = [now] { return now->load(); };
+  Orchestrator orc(DeviceModel{}, opts);
+  orc.set_model("m", rig_model(
+                         [faulty](const Tensor&, const Tensor&) { return !faulty->load(); },
+                         exact_row));
+
+  // Deadlines: both rows wait one fake second in one batch. The 0.5 s budget
+  // has run out by dispatch, the 2 s budget has not.
+  auto lasting = orc.run_model_batched("m", request_row(), RequestOptions::within(2.0));
+  auto expiring = orc.run_model_batched("m", request_row(), RequestOptions::within(0.5));
+  now->store(101.0);
+  orc.flush_batches();
+  EXPECT_EQ(expiring.get().code(), StatusCode::kDeadlineExceeded);
+  const Result<Tensor> served = lasting.get();
+  ASSERT_TRUE(served.is_ok());
+  EXPECT_NE(served.value().at(0, 0), 42.0);
+  const obs::RegistrySnapshot reg = orc.stats().metrics().snapshot();
+  EXPECT_EQ(reg.histograms.at("serving.batch_wait_seconds").count, 1u);
+  EXPECT_DOUBLE_EQ(reg.histograms.at("serving.batch_wait_seconds").sum, 1.0);
+
+  // Breaker: keyed rows miss QoI one fake second apart; the third miss
+  // trips it (4 outcomes, 3 misses) at t = 104.
+  faulty->store(true);
+  orc.put_tensor("x", request_row());
+  for (const double t : {102.0, 103.0, 104.0}) {
+    now->store(t);
+    ASSERT_TRUE(orc.run_model("m", "x", "y").is_ok());
+  }
+  ASSERT_EQ(orc.breaker("m").state(), BreakerState::kOpen);
+  now->store(105.0);  // inside the 5 s cool-down: served by the original code
+  ASSERT_TRUE(orc.run_model("m", "x", "y").is_ok());
+  EXPECT_EQ(orc.stats().breaker_fallbacks(), 1u);
+
+  // SLO: four fallbacks one second apart push the fast and mid burns over
+  // the page threshold.
+  std::vector<obs::SloStatus> slo = orc.slo_engine().evaluate();
+  ASSERT_EQ(slo.size(), 1u);
+  EXPECT_TRUE(slo[0].burning);
+  EXPECT_GT(slo[0].fast_burn, 1.5);
+
+  // The cool-down ends at t = 109: the half-open probe serves the surrogate,
+  // passes QoI and closes the breaker.
+  faulty->store(false);
+  now->store(109.5);
+  ASSERT_TRUE(orc.run_model("m", "x", "y").is_ok());
+  EXPECT_NE(orc.get_tensor("y").at(0, 0), 42.0);
+  EXPECT_EQ(orc.breaker("m").state(), BreakerState::kClosed);
+  EXPECT_EQ(orc.stats().breaker_transitions("open", "half_open"), 1u);
+
+  // A fake quarter hour later the burn windows have decayed: the alert
+  // condition clears.
+  now->store(1009.5);
+  slo = orc.slo_engine().evaluate();
+  EXPECT_FALSE(slo[0].burning);
+  EXPECT_LT(slo[0].fast_burn, 1e-6);
 }
 
 // ------------------------------------------------------------ drain/shutdown

@@ -211,8 +211,7 @@ TEST(RolloutController, StageTimeoutFailsViaPoll) {
   double now = 0.0;
   RolloutOptions o = tiny_rollout();
   o.stage_timeout_seconds = 10.0;
-  o.clock = [&now] { return now; };
-  RolloutController ctl("m", 2, o);
+  RolloutController ctl("m", 2, o, [&now] { return now; });
   now = 9.0;
   EXPECT_EQ(ctl.poll(), RolloutState::kShadow);
   now = 10.5;

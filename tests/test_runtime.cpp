@@ -1,7 +1,7 @@
 // Tests for src/runtime: the roofline device model (monotonicity, profiles,
 // Table-3 cache heuristics), the orchestrator/client tensor store and model
-// registry (Listing 1 semantics), deployed-surrogate inference timing, and
-// the concurrent serving path (sharded store, thread pool, micro-batching).
+// registry (Listing 1 semantics), the modeled §7.3 phase cost, and the
+// concurrent serving path (sharded store, thread pool, micro-batching).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "runtime/orchestrator.hpp"
 #include "runtime/sharded_store.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sparse/generators.hpp"
 #include "team_budgets.hpp"
 
 namespace ahn::runtime {
@@ -98,6 +97,45 @@ TEST(Device, AchievedBandwidthComputed) {
   EXPECT_DOUBLE_EQ(DeviceModel::achieved_bandwidth(ops, 2.0), 1000.0);
 }
 
+TEST(Device, PhasesPriceEachOnlinePhaseAndSumToTotal) {
+  const DeviceModel dev;
+  const OpCounts infer{2000, 800, 80};
+  const RequestPhases p = dev.phases(OpCounts{}, infer, /*has_encoder=*/false,
+                                     /*int8=*/false, /*rows=*/1, sizeof(double) * 6, 3);
+  EXPECT_GT(p.fetch, 0.0);
+  EXPECT_EQ(p.encode, 0.0);  // no encoder, no encode phase
+  EXPECT_EQ(p.load, dev.spec().model_load_latency);
+  EXPECT_GT(p.run, 0.0);
+  EXPECT_EQ(p.total(), p.fetch + p.encode + p.load + p.run);
+}
+
+TEST(Device, PhasesAddAnEncodePhaseForAnEncoder) {
+  const DeviceModel dev;
+  const OpCounts encode{5000, 1200, 32};
+  const OpCounts infer{2000, 800, 80};
+  const RequestPhases p = dev.phases(encode, infer, /*has_encoder=*/true,
+                                     /*int8=*/false, 1, sizeof(double) * 16, 2);
+  EXPECT_EQ(p.encode, dev.kernel_seconds(encode, nn_inference_profile()));
+  EXPECT_EQ(p.run, dev.kernel_seconds(infer, nn_inference_profile()) +
+                       dev.transfer_seconds(sizeof(double) * 2));
+}
+
+TEST(Device, PhasesScaleKernelsWithRowsAndPriceInt8AtItsProfile) {
+  const DeviceModel dev;
+  const OpCounts infer{4'000'000'000ULL, 64, 16};  // compute-bound
+  const RequestPhases four = dev.phases(OpCounts{}, infer, false, false, 4, 0, 8);
+  EXPECT_EQ(four.run,
+            dev.kernel_seconds(OpCounts{4 * infer.flops, 4 * infer.bytes_read,
+                                        4 * infer.bytes_written},
+                               nn_inference_profile()) +
+                dev.transfer_seconds(sizeof(double) * 8));
+  EXPECT_EQ(four.load, dev.spec().model_load_latency);  // once per call
+  const RequestPhases int8 = dev.phases(OpCounts{}, infer, false, true, 1, 0, 2);
+  EXPECT_EQ(int8.run, dev.kernel_seconds(infer, nn_int8_inference_profile()) +
+                          dev.transfer_seconds(sizeof(double) * 2));
+  EXPECT_LT(int8.run, dev.phases(OpCounts{}, infer, false, false, 1, 0, 2).run);
+}
+
 TEST(Orchestrator, TensorStorePutGetDelete) {
   Orchestrator orc;
   Tensor t({1, 3}, {1, 2, 3});
@@ -166,66 +204,36 @@ TEST(Orchestrator, MissingInputKeyReportsNotFound) {
   EXPECT_FALSE(orc.has_tensor("out"));
 }
 
-TEST(Deployment, InferShapesAndTiming) {
-  Rng rng(2);
+// A quantized model served through keyed run_model prices its run phase at
+// the int8 profile, as the offline evaluation and the search price it.
+TEST(Serving, Int8ModelPricedLikeOfflineEvaluation) {
+  Rng rng(5);
   nn::TopologySpec spec;
   spec.num_layers = 1;
   spec.hidden_units = 8;
-  nn::TrainedSurrogate ts;
-  ts.net = nn::build_surrogate(spec, 6, 3, rng);
-  const DeployedSurrogate dep(nullptr, std::move(ts), DeviceModel{});
+  ServableModel base;
+  base.surrogate.net = nn::build_surrogate(spec, 4, 2, rng);
+  Tensor calib({32, 4});
+  for (double& v : calib.flat()) v = rng.uniform(-1.0, 1.0);
+  auto q = std::make_shared<ServableModel>(quantized_servable(base, calib));
+  ASSERT_EQ(q->surrogate.net.precision(), nn::Precision::kInt8);
+  // Dense layers this small are memory-bound, where both profiles price
+  // alike; a compute-bound op count makes the profile visible.
+  q->infer_ops = OpCounts{4'000'000'000ULL, 64, 16};
 
-  const std::vector<double> feat{1, 2, 3, 4, 5, 6};
-  const InferenceResult res = dep.infer(feat);
-  EXPECT_EQ(res.outputs.size(), 3u);
-  EXPECT_GT(res.timing.fetch_seconds, 0.0);
-  EXPECT_GT(res.timing.run_seconds, 0.0);
-  EXPECT_EQ(res.timing.encode_seconds, 0.0);
-  EXPECT_NEAR(res.timing.total(),
-              res.timing.fetch_seconds + res.timing.encode_seconds +
-                  res.timing.load_seconds + res.timing.run_seconds,
-              1e-15);
-}
+  Orchestrator orc;
+  orc.set_model("q", q);
+  orc.put_tensor("x", Tensor({1, 4}, {0.1, 0.2, 0.3, 0.4}));
+  ASSERT_TRUE(orc.run_model("q", "x", "y").is_ok());
+  const double served_run =
+      orc.stats().metrics().snapshot().histograms.at("serving.latency.run").sum;
 
-TEST(Deployment, SparsePathShipsFewerBytes) {
-  Rng rng(3);
-  const std::size_t width = 400;
-  nn::TopologySpec spec;
-  spec.num_layers = 1;
-  spec.hidden_units = 8;
-  nn::TrainedSurrogate ts;
-  ts.net = nn::build_surrogate(spec, width, 2, rng);
-  const DeployedSurrogate dep(nullptr, std::move(ts), DeviceModel{});
-
-  // One batch with a single very sparse row.
-  const sparse::Csr batch = sparse::random_sparse(1, width, 0.02, rng);
-  const InferenceResult sparse_res = dep.infer_sparse(batch, 0);
-  const Tensor dense_row = batch.to_dense();
-  const InferenceResult dense_res = dep.infer(
-      std::vector<double>(dense_row.row(0).begin(), dense_row.row(0).end()));
-  // The sparse fetch moves the compressed payload only (§4.2's saving).
-  EXPECT_LT(sparse_res.timing.fetch_seconds, dense_res.timing.fetch_seconds);
-  // Same math, same outputs.
-  ASSERT_EQ(sparse_res.outputs.size(), dense_res.outputs.size());
-  for (std::size_t i = 0; i < sparse_res.outputs.size(); ++i) {
-    EXPECT_NEAR(sparse_res.outputs[i], dense_res.outputs[i], 1e-9);
-  }
-}
-
-TEST(Deployment, EncoderAddsEncodePhase) {
-  Rng rng(4);
-  autoencoder::AutoencoderConfig acfg;
-  acfg.latent_dim = 4;
-  auto enc = std::make_shared<autoencoder::Autoencoder>(16, acfg);
-  nn::TopologySpec spec;
-  spec.num_layers = 1;
-  spec.hidden_units = 8;
-  nn::TrainedSurrogate ts;
-  ts.net = nn::build_surrogate(spec, 4, 2, rng);
-  const DeployedSurrogate dep(enc, std::move(ts), DeviceModel{});
-  const InferenceResult res = dep.infer(std::vector<double>(16, 0.5));
-  EXPECT_GT(res.timing.encode_seconds, 0.0);
-  EXPECT_EQ(res.outputs.size(), 2u);
+  const DeviceModel dev;
+  const double output_transfer = dev.transfer_seconds(sizeof(double) * 2);
+  EXPECT_EQ(served_run, dev.kernel_seconds(q->infer_ops, nn_int8_inference_profile()) +
+                            output_transfer);
+  EXPECT_LT(served_run,
+            dev.kernel_seconds(q->infer_ops, nn_inference_profile()) + output_transfer);
 }
 
 // ------------------------------------------------------------ ShardedStore

@@ -30,7 +30,7 @@ using namespace ahn;
 // SloEngine
 
 // A shared fake clock: tests advance *t and the engine observes it.
-obs::SloEngine::ClockFn fake_clock(const std::shared_ptr<double>& t) {
+Clock fake_clock(const std::shared_ptr<double>& t) {
   return [t] { return *t; };
 }
 
