@@ -52,6 +52,8 @@ class Application {
 
   /// Flattened input features of problem i (always available; for sparse
   /// apps this is the dense expansion the paper's §2 calls out as wasteful).
+  /// Must be safe to call concurrently, like run_region: sample acquisition
+  /// and the search's concurrent arms call it from several threads.
   [[nodiscard]] virtual std::vector<double> input_features(std::size_t i) const = 0;
 
   /// True when the natural input representation is a sparse matrix/vector.
@@ -92,6 +94,9 @@ class Application {
   /// problem i — the |V' - V| / |V| of Eqn 3. The default compares the
   /// scalar qoi(); vector-solution apps override with a normalized vector
   /// distance (the natural reading of e.g. "solution of linear equations").
+  /// Must be safe to call concurrently, like run_region (and so must the
+  /// qoi() the default calls): the search's quality callback
+  /// (AutoHPCnet::make_task) scores concurrent arms' candidates.
   [[nodiscard]] virtual double qoi_error(std::size_t i,
                                          std::span<const double> exact_outputs,
                                          std::span<const double> surrogate_outputs) const;

@@ -95,6 +95,14 @@ std::vector<double> fft_real_perforated(std::span<const double> input, double ke
     }
   }
 
+  // The radix-2 count of fft_inplace, for the stages that ran.
+  OpCounts c;
+  c.flops = static_cast<std::uint64_t>(5.0 * static_cast<double>(n) *
+                                       static_cast<double>(stage));
+  c.bytes_read = sizeof(Complex) * n;
+  c.bytes_written = sizeof(Complex) * n;
+  FlopCounter::instance().add(c);
+
   std::vector<double> out(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
     out[2 * i] = data[i].real();

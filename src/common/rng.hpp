@@ -107,6 +107,14 @@ class Rng {
   /// Fork a statistically independent child stream (for parallel workers).
   Rng fork() noexcept { return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL); }
 
+  /// Advances the stream by `n` next_u64() draws (std engines' discard).
+  void discard(std::uint64_t n) noexcept {
+    for (; n > 0; --n) next_u64();
+  }
+
+  /// Same state: the two streams produce the same draws from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <future>
 #include <istream>
 #include <ostream>
 #include <utility>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -55,6 +57,14 @@ std::string spec_key(std::string prefix, const nn::TopologySpec& s) {
   return prefix;
 }
 
+/// Draws an inner search of `iterations` candidates (after the 0 =
+/// options.inner_iterations substitution) takes from its Rng: one fork for
+/// its BO plus one per drafted candidate, memo hits included. The seed
+/// candidate is drafted even at 0 iterations.
+std::size_t inner_search_draws(std::size_t iterations) noexcept {
+  return 1 + std::max<std::size_t>(1, iterations);
+}
+
 }  // namespace
 
 double encode_latent_k(std::size_t k, std::size_t k_min, std::size_t k_max) {
@@ -74,9 +84,10 @@ std::size_t decode_latent_k(double x, std::size_t k_min, std::size_t k_max) {
 InnerOutcome inner_topology_search(
     const NasOptions& options, const SearchTask& task, const nn::Dataset& reduced,
     std::shared_ptr<const autoencoder::Autoencoder> encoder, double encoding_miss,
-    std::size_t outer_iter, Rng& rng, EvalMemo& memo, std::size_t iterations) {
+    std::size_t outer_iter, Rng& rng, EvalMemo& memo, std::size_t iterations,
+    obs::SpanContext parent) {
   if (iterations == 0) iterations = options.inner_iterations;
-  const obs::Span search_span(obs::Tracer::global(), "nas.inner_search");
+  const obs::Span search_span(obs::Tracer::global(), "nas.inner_search", parent);
   gp::BoOptions bo_opts;
   bo_opts.dim = nn::TopologySpace::encoded_dim();
   bo_opts.constraint_threshold = task.quality_bound;
@@ -283,13 +294,13 @@ NasResult TwoDNas::search_from(const SearchTask& task,
   Rng rng(task.seed);
   NasResult result;
   result.steps = prior;
-  EvalMemo memo;
 
   const std::size_t in_width = task.data.in_features();
 
   // FullInput mode (Table 1 searchType (3)): no feature reduction at all —
   // a single inner search on the raw features.
   if (options_.search_type == SearchType::FullInput || in_width <= options_.k_min) {
+    EvalMemo memo;
     InnerOutcome inner =
         inner_topology_search(options_, task, task.data, nullptr, 0.0, 0, rng, memo);
     result.steps.insert(result.steps.end(), inner.steps.begin(), inner.steps.end());
@@ -302,18 +313,30 @@ NasResult TwoDNas::search_from(const SearchTask& task,
   const std::size_t k_max = std::min(options_.k_max, in_width);
   const std::size_t k_min = std::min(options_.k_min, k_max);
 
+  // One arm of the search: the reference arm (index 0) or one outer iterate.
+  // `rng` starts as a copy of the search Rng where the serial search starts
+  // the arm, and must end at `rng_end`, where the serial search starts what
+  // comes next.
+  struct Arm {
+    Rng rng;
+    Rng rng_end;
+    std::vector<double> xk;
+    std::size_t k = 0;
+    OuterIterate iterate;  ///< the reference arm fills only `inner`
+    std::exception_ptr error;
+  };
+  std::vector<Arm> arms;
+
   // Reference arm: one inner search with NO feature reduction, so the outer
   // loop only adopts an autoencoder when reduction actually wins on
   // (E, f_e) — mirroring the fullInput option of Table 1's searchType.
-  {
-    // Wide full-width candidates are the expensive ones to train; a short
-    // reference arm (2 evaluations) is enough to anchor the comparison.
-    InnerOutcome full =
-        inner_topology_search(options_, task, task.data, nullptr, 0.0, 0, rng, memo,
-                              std::min<std::size_t>(2, options_.inner_iterations));
-    result.steps.insert(result.steps.end(), full.steps.begin(), full.steps.end());
-    result.best = std::move(full.best);
-  }
+  // Wide full-width candidates are the expensive ones to train; a short
+  // reference arm (2 evaluations) is enough to anchor the comparison.
+  const std::size_t ref_iterations = std::min<std::size_t>(2, options_.inner_iterations);
+  Arm& reference = arms.emplace_back();
+  reference.rng = rng;
+  rng.discard(inner_search_draws(ref_iterations));
+  reference.rng_end = rng;
 
   gp::BoOptions outer_opts;
   outer_opts.dim = 1;
@@ -330,16 +353,55 @@ NasResult TwoDNas::search_from(const SearchTask& task,
     }
   }
 
+  // The outer loop's initial design: while the outer GP holds fewer than
+  // init_samples observations, propose() draws K from its own Rng whatever
+  // was observed, so these iterates are fixed before any result arrives.
+  const std::size_t observed = outer.history().size();
+  const std::size_t n_init =
+      observed < outer_opts.init_samples
+          ? std::min(options_.outer_iterations, outer_opts.init_samples - observed)
+          : 0;
+  for (std::size_t outer_iter = 0; outer_iter < n_init; ++outer_iter) {
+    Arm& arm = arms.emplace_back();
+    arm.rng = rng;
+    arm.xk = outer.propose();
+    arm.k = decode_latent_k(arm.xk[0], k_min, k_max);
+    AHN_INFO_C("nas", "2D-NAS outer " << outer_iter << ": K = " << arm.k);
+    rng.discard(1 + inner_search_draws(options_.inner_iterations));
+    arm.rng_end = rng;
+  }
+
+  // Each arm runs on its own Rng copy and memo (the keys "full|" and
+  // "enc<i>|" never cross arms) and writes only its own Arm, so it is the
+  // same bits on any thread; inside the team its kernels run inline. Arms
+  // may run on OpenMP workers, whose span context is empty, so their spans
+  // open under the search's context explicitly. An exception must not leave
+  // the region: each arm keeps its own.
+  const obs::SpanContext search_ctx = obs::Tracer::current();
+  auto run_arm = [&](std::size_t a) {
+    Arm& arm = arms[a];
+    try {
+      EvalMemo memo;
+      if (a == 0) {
+        arm.iterate.inner = inner_topology_search(options_, task, task.data, nullptr, 0.0,
+                                                  0, arm.rng, memo, ref_iterations,
+                                                  search_ctx);
+      } else {
+        const obs::Span outer_span(obs::Tracer::global(), "nas.outer_iteration",
+                                   search_ctx);
+        arm.iterate = run_outer_iterate(options_, task, arm.k, a - 1, arm.rng, memo);
+      }
+    } catch (...) {
+      arm.error = std::current_exception();
+    }
+  };
+
   double best_objective = std::numeric_limits<double>::infinity();
   std::size_t stale = 0;
 
-  for (std::size_t outer_iter = 0; outer_iter < options_.outer_iterations; ++outer_iter) {
-    const obs::Span outer_span(obs::Tracer::global(), "nas.outer_iteration");
-    const std::vector<double> xk = outer.propose();
-    const std::size_t k = decode_latent_k(xk[0], k_min, k_max);
-    AHN_INFO_C("nas", "2D-NAS outer " << outer_iter << ": K = " << k);
-
-    OuterIterate iterate = run_outer_iterate(options_, task, k, outer_iter, rng, memo);
+  // Records one finished outer iterate as Algorithm 2 does; false once the
+  // search stagnates (§5.2).
+  auto record_outer = [&](const std::vector<double>& xk, OuterIterate& iterate) {
     result.autoencoder_train_seconds += iterate.autoencoder_seconds;
     InnerOutcome& inner = iterate.inner;
     result.steps.insert(result.steps.end(), inner.steps.begin(), inner.steps.end());
@@ -351,15 +413,50 @@ NasResult TwoDNas::search_from(const SearchTask& task,
       result.best = std::move(inner.best);
     }
 
-    // Stagnation-based termination (§5.2).
     const bool feasible = result.best.quality_error <= task.quality_bound;
     const double objective = task.expected_online_seconds(result.best);
     if (feasible && objective < best_objective * 0.99) {
       best_objective = objective;
       stale = 0;
     } else if (feasible && ++stale >= options_.patience) {
-      break;
+      return false;
     }
+    return true;
+  };
+
+  // Every arm is a whole inner search, far above the grain. At a team of
+  // one each arm runs just before it is recorded, exactly the serial search.
+  const std::size_t work = arms.size() * kParallelGrain;
+  const bool concurrent = parallel_team_size(work, arms.size()) > 1;
+  if (concurrent) parallel_for(work, arms.size(), run_arm);
+  bool stagnated = false;
+  for (std::size_t a = 0; a < arms.size() && !stagnated; ++a) {
+    if (!concurrent) run_arm(a);
+    Arm& arm = arms[a];
+    if (arm.error) std::rethrow_exception(arm.error);
+    AHN_CHECK_MSG(arm.rng == arm.rng_end,
+                  "2D-NAS arm " << a << " drew a different count from the search Rng");
+    if (a == 0) {
+      InnerOutcome& full = arm.iterate.inner;
+      result.steps.insert(result.steps.end(), full.steps.begin(), full.steps.end());
+      result.best = std::move(full.best);
+    } else {
+      stagnated = !record_outer(arm.xk, arm.iterate);
+    }
+  }
+  arms.clear();
+
+  // Past the initial design each proposal depends on what was observed.
+  for (std::size_t outer_iter = n_init;
+       !stagnated && outer_iter < options_.outer_iterations; ++outer_iter) {
+    const obs::Span outer_span(obs::Tracer::global(), "nas.outer_iteration");
+    const std::vector<double> xk = outer.propose();
+    const std::size_t k = decode_latent_k(xk[0], k_min, k_max);
+    AHN_INFO_C("nas", "2D-NAS outer " << outer_iter << ": K = " << k);
+
+    EvalMemo memo;
+    OuterIterate iterate = run_outer_iterate(options_, task, k, outer_iter, rng, memo);
+    stagnated = !record_outer(xk, iterate);
   }
 
   result.found_feasible = result.best.quality_error <= task.quality_bound;

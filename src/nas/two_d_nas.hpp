@@ -17,6 +17,7 @@
 
 #include "gp/bayesopt.hpp"
 #include "nas/search_task.hpp"
+#include "obs/trace.hpp"
 
 namespace ahn::runtime {
 class ThreadPool;
@@ -100,14 +101,18 @@ using EvalMemo = std::unordered_map<std::string, PipelineModel>;
 /// One inner BO over topology theta on (optionally reduced) features.
 /// Proposal drafting, Rng forking and memoization run on the caller's
 /// thread in proposal order, so the outcome is independent of how (or
-/// whether) candidate training is parallelized on options.pool.
+/// whether) candidate training is parallelized on options.pool. It takes
+/// one draw from `rng` for its BO plus one per drafted candidate. Its
+/// "nas.inner_search" span opens under `parent`.
 [[nodiscard]] InnerOutcome inner_topology_search(
     const NasOptions& options, const SearchTask& task, const nn::Dataset& reduced,
     std::shared_ptr<const autoencoder::Autoencoder> encoder, double encoding_miss,
-    std::size_t outer_iter, Rng& rng, EvalMemo& memo, std::size_t iterations = 0);
+    std::size_t outer_iter, Rng& rng, EvalMemo& memo, std::size_t iterations = 0,
+    obs::SpanContext parent = obs::Tracer::current());
 
 /// One outer-loop iterate at a fixed K: trains the iteration's fresh
-/// autoencoder, reduces the features, runs the inner search. The returned
+/// autoencoder, reduces the features, runs the inner search. It takes one
+/// draw from `rng` (the autoencoder's seed) plus the inner search's. The returned
 /// `outer_constraint` is the f_e the outer GP should observe — inflated past
 /// the feasibility threshold when the autoencoder misses its encoding bound.
 struct OuterIterate {
@@ -127,6 +132,11 @@ class TwoDNas {
  public:
   explicit TwoDNas(NasOptions options) : options_(options) {}
 
+  /// Runs Algorithm 2. The arms fixed before any result arrives — the
+  /// no-reduction reference arm and the outer loop's random initial design
+  /// — run as one parallel_for on the calling thread's OpenMP team, each
+  /// at a team of one, and are recorded in serial order afterwards, so the
+  /// search is the same bits at any team size.
   [[nodiscard]] NasResult search(const SearchTask& task) const;
 
   /// Checkpointing (§6.1): serializes the completed steps so a later run

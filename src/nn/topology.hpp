@@ -28,6 +28,8 @@ struct TopologySpec {
   Activation act = Activation::Relu;
 
   [[nodiscard]] std::string describe() const;
+
+  friend bool operator==(const TopologySpec&, const TopologySpec&) = default;
 };
 
 /// Bounds of the search box. All specs drawn or decoded stay inside.

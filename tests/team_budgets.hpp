@@ -45,6 +45,18 @@ auto at_team_budgets(Fn&& fn) {
   return outs;
 }
 
+/// Holds the calling thread's team budget at `threads` for its scope (the
+/// process's own under TSan, as above), then restores it.
+struct ScopedTeamBudget {
+  explicit ScopedTeamBudget(int threads) : saved(omp_get_max_threads()) {
+    if (!kThreadSanitizer) omp_set_num_threads(threads);
+  }
+  ~ScopedTeamBudget() { omp_set_num_threads(saved); }
+  ScopedTeamBudget(const ScopedTeamBudget&) = delete;
+  ScopedTeamBudget& operator=(const ScopedTeamBudget&) = delete;
+  const int saved;
+};
+
 /// True when a loop of `n` iterations and `work` forks a team at every
 /// budget above 1 and gives each thread of a 4-thread team an iteration,
 /// i.e. the test compares real teams rather than serial runs.

@@ -7,13 +7,17 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "apps/registry.hpp"
 #include "core/config.hpp"
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
+#include "obs/trace.hpp"
 #include "sparse/generators.hpp"
 #include "team_budgets.hpp"
 
@@ -305,6 +309,92 @@ TEST(Pipeline, MiniEndToEndOnMg) {
   EXPECT_EQ(res.eval_problems.size(), 12u);
   EXPECT_GE(res.evaluation.hit_rate, 0.0);
   EXPECT_LE(res.evaluation.hit_rate, 1.0);
+}
+
+/// A small Canneal build at the repository benchmark's search budget
+/// (outer 2, inner 3): its reference arm and both outer iterates are arms of
+/// one team.
+Config small_canneal_config() {
+  Config cfg;
+  cfg.train_problems = 120;
+  cfg.valid_problems = 8;
+  cfg.eval_problems = 12;
+  cfg.outer_iterations = 2;
+  cfg.inner_iterations = 3;
+  cfg.num_epoch = 60;
+  cfg.retrain_epochs = 120;
+  cfg.ae_epochs = 15;
+  return cfg;
+}
+
+// The search runs its reference arm and outer initial design concurrently
+// at a full team: the whole build must be the bits of the serial one.
+TEST(Pipeline, CannealRunAtFullTeamMatchesTeamOfOne) {
+  const auto build = [](int team) {
+    const team_test::ScopedTeamBudget budget(team);
+    auto app = apps::make_application("Canneal");
+    PipelineResult res = AutoHPCnet(small_canneal_config()).run(*app);
+    std::vector<double> bits;
+    for (const nas::SearchStep& s : res.search.steps) {
+      bits.insert(bits.end(), {static_cast<double>(s.latent_k), s.quality_error,
+                               s.hit_share, s.modeled_infer_seconds, s.encoding_miss});
+    }
+    bits.insert(bits.end(), {static_cast<double>(res.model.latent_k),
+                             res.model.quality_error, res.evaluation.hit_rate,
+                             res.evaluation.mean_qoi_error});
+    for (const std::size_t p : res.eval_problems) {
+      const std::vector<double> y = res.model.infer(app->input_features(p));
+      bits.insert(bits.end(), y.begin(), y.end());
+    }
+    return std::make_pair(bits, res.model.spec.describe());
+  };
+  const auto serial = build(1);
+  const auto full = build(4);
+  EXPECT_EQ(full.second, serial.second);
+  ASSERT_EQ(full.first.size(), serial.first.size());
+  EXPECT_EQ(0, std::memcmp(full.first.data(), serial.first.data(),
+                           serial.first.size() * sizeof(double)))
+      << "the build at a full team differs from the serial build";
+}
+
+// Arms run on OpenMP workers, whose own span context is empty: each arm's
+// spans must still open under the search span, inside the pipeline's trace.
+TEST(Pipeline, TracedRunAtFullTeamKeepsEveryNasSpanInThePipelineTrace) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.reset();
+  {
+    const team_test::ScopedTeamBudget budget(4);
+    auto app = apps::make_application("Canneal");
+    (void)AutoHPCnet(small_canneal_config()).run(*app);
+  }
+  const obs::TracerSnapshot snap = tracer.snapshot();
+  const auto named = [&](const std::string& name) {
+    std::vector<obs::SpanRecord> out;
+    for (const obs::SpanRecord& r : snap.recent) {
+      if (r.name == name) out.push_back(r);
+    }
+    return out;
+  };
+  const std::vector<obs::SpanRecord> pipeline = named("offline.pipeline");
+  const std::vector<obs::SpanRecord> search = named("offline.search");
+  ASSERT_EQ(pipeline.size(), 1u);
+  ASSERT_EQ(search.size(), 1u);
+  std::map<std::string, std::size_t> nas_spans;
+  for (const obs::SpanRecord& r : snap.recent) {
+    if (r.name.rfind("nas.", 0) != 0) continue;
+    ++nas_spans[r.name];
+    EXPECT_EQ(r.trace_id, pipeline[0].trace_id) << r.name;
+  }
+  // One inner search per arm; the reference arm's and each outer iterate's
+  // top span parent directly under the search.
+  EXPECT_EQ(nas_spans["nas.inner_search"], 3u);
+  EXPECT_EQ(nas_spans["nas.outer_iteration"], 2u);
+  EXPECT_EQ(nas_spans["nas.autoencoder_train"], 2u);
+  std::size_t under_search = 0;
+  for (const obs::SpanRecord& r : snap.recent) {
+    if (r.parent_span_id == search[0].span_id && r.name.rfind("nas.", 0) == 0) ++under_search;
+  }
+  EXPECT_EQ(under_search, 3u);  // the reference inner search + 2 outer iterates
 }
 
 TEST(Pipeline, MakeTaskCountsHitShareAtMuAndPricesExactRegion) {

@@ -1,13 +1,16 @@
 // Tests for src/nas and src/baselines: candidate evaluation, the 2D
 // hierarchical search (feasibility, quality-bound behaviour, checkpoint
-// round trip, warm start), the Autokeras-like/grid/flat-joint comparators,
-// loop-perforation tuning and the ACCEPT baseline.
+// round trip, warm start, concurrent arms at any team size), the
+// Autokeras-like/grid/flat-joint comparators, loop-perforation tuning and
+// the ACCEPT baseline.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "apps/registry.hpp"
 #include "baselines/accept.hpp"
@@ -19,6 +22,7 @@
 #include "runtime/orchestrator.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
+#include "team_budgets.hpp"
 
 namespace ahn::nas {
 namespace {
@@ -339,6 +343,149 @@ TEST(TwoDNas, ParallelSearchMatchesSerialExactly) {
   EXPECT_EQ(parallel.found_feasible, serial.found_feasible);
 }
 
+// ------------------------------ concurrent arms of the hierarchical search
+
+/// The arms of one search (reference arm + outer initial design) run
+/// concurrently on a team; the serial search runs them one after another.
+constexpr int kFullTeam = 4;
+
+/// Every step and the winning model of `a` and `b` are the same bits.
+void expect_same_search(const NasResult& a, const NasResult& b, const SearchTask& task) {
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    const SearchStep& x = a.steps[i];
+    const SearchStep& y = b.steps[i];
+    EXPECT_EQ(x.outer_iteration, y.outer_iteration);
+    EXPECT_EQ(x.latent_k, y.latent_k);
+    EXPECT_EQ(x.spec, y.spec);
+    EXPECT_EQ(x.quality_error, y.quality_error);
+    EXPECT_EQ(x.hit_share, y.hit_share);
+    EXPECT_EQ(x.modeled_infer_seconds, y.modeled_infer_seconds);
+    EXPECT_EQ(x.encoding_miss, y.encoding_miss);
+  }
+  EXPECT_EQ(a.found_feasible, b.found_feasible);
+  EXPECT_EQ(a.best.latent_k, b.best.latent_k);
+  EXPECT_EQ(a.best.spec, b.best.spec);
+  EXPECT_EQ(a.best.quality_error, b.best.quality_error);
+  ASSERT_GT(a.best.surrogate.net.layer_count(), 0u);
+  for (std::size_t r = 0; r < task.data.size(); r += 7) {
+    const std::vector<double> feat(task.data.x.row(r).begin(), task.data.x.row(r).end());
+    EXPECT_EQ(a.best.infer(feat), b.best.infer(feat)) << "row " << r;
+  }
+}
+
+/// The search at a full team and under TeamOfOne must be the same bits.
+NasResult expect_team_invariant_search(const NasOptions& opts, const SearchTask& task,
+                                       const std::vector<SearchStep>& prior = {}) {
+  NasResult full;
+  {
+    const team_test::ScopedTeamBudget team(kFullTeam);
+    full = TwoDNas(opts).search_from(task, prior);
+  }
+  NasResult serial;
+  {
+    const TeamOfOne one;
+    serial = TwoDNas(opts).search_from(task, prior);
+  }
+  expect_same_search(full, serial, task);
+  return full;
+}
+
+NasOptions arm_test_options(std::size_t outer, std::size_t inner) {
+  NasOptions opts;
+  opts.outer_iterations = outer;
+  opts.inner_iterations = inner;
+  opts.k_min = 2;
+  opts.k_max = 12;
+  opts.ae_epochs = 20;
+  return opts;
+}
+
+/// Outer iterates a search recorded (steps of encoder-backed candidates).
+std::size_t outer_iterates(const NasResult& res) {
+  std::size_t n = 0;
+  for (const SearchStep& s : res.steps) {
+    if (s.latent_k > 0) n = std::max(n, s.outer_iteration + 1);
+  }
+  return n;
+}
+
+TEST(TwoDNas, ConcurrentArmsMatchTeamOfOneAtBenchBudget) {
+  const SearchTask task = make_synthetic_task(16);
+  const NasResult res = expect_team_invariant_search(arm_test_options(2, 3), task);
+  EXPECT_EQ(outer_iterates(res), 2u);
+}
+
+TEST(TwoDNas, ConcurrentArmsMatchTeamOfOneAtConfigDefaults) {
+  const SearchTask task = make_synthetic_task(16);
+  const NasResult res = expect_team_invariant_search(arm_test_options(3, 5), task);
+  EXPECT_EQ(outer_iterates(res), 3u);
+}
+
+// One prior K-step leaves two draws of the initial design (both iterates run
+// as arms); three leave none (both iterates run serially after the arm team).
+TEST(TwoDNas, ConcurrentArmsMatchTeamOfOneWarmStarted) {
+  const SearchTask task = make_synthetic_task(16);
+  const NasResult first = TwoDNas(arm_test_options(1, 3)).search(task);
+  std::vector<SearchStep> one_k_step, k_steps;
+  for (const SearchStep& s : first.steps) {
+    if (s.latent_k == 0) continue;
+    if (one_k_step.empty()) one_k_step.push_back(s);
+    k_steps.push_back(s);
+  }
+  ASSERT_EQ(one_k_step.size(), 1u);
+  ASSERT_GE(k_steps.size(), 3u);
+  for (const std::vector<SearchStep>* prior : {&one_k_step, &k_steps}) {
+    SCOPED_TRACE(std::to_string(prior->size()) + " prior K-steps");
+    const NasResult res = expect_team_invariant_search(arm_test_options(2, 3), task, *prior);
+    EXPECT_GT(res.steps.size(), prior->size());
+  }
+}
+
+// patience = 1 stops the search after the first outer iterate that does not
+// improve the incumbent, inside the three-draw initial design: the arm run
+// past the break is discarded, as if it had never run.
+TEST(TwoDNas, ConcurrentArmsMatchTeamOfOneWhenPatienceBreaksTheInitialDesign) {
+  const SearchTask task = make_synthetic_task(16);
+  NasOptions opts = arm_test_options(3, 3);
+  opts.patience = 1;
+  const NasResult res = expect_team_invariant_search(opts, task);
+  EXPECT_LT(outer_iterates(res), 3u);
+}
+
+TEST(TwoDNas, ConcurrentArmsMatchTeamOfOneAtOneInnerIteration) {
+  const SearchTask task = make_synthetic_task(16);
+  const NasResult res = expect_team_invariant_search(arm_test_options(2, 1), task);
+  EXPECT_EQ(res.steps.size(), 3u);  // one reference step, one per outer iterate
+}
+
+// Every outer iterate throws. At a full team both run; the error rethrown
+// must be the first iterate's, the one the serial search stops at.
+TEST(TwoDNas, ConcurrentArmsRethrowTheSerialSearchesError) {
+  SearchTask task = make_synthetic_task(16);
+  const auto quality = task.evaluate_quality;
+  task.evaluate_quality = [quality](const PipelineModel& pm) {
+    if (pm.encoder != nullptr) {
+      throw std::runtime_error("no quality at K=" + std::to_string(pm.latent_k));
+    }
+    return quality(pm);
+  };
+  const NasOptions opts = arm_test_options(2, 3);
+  const auto message = [&](int team) {
+    const team_test::ScopedTeamBudget budget(team);
+    try {
+      (void)TwoDNas(opts).search(task);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string serial = message(1);
+  EXPECT_NE(serial.find("no quality at K="), std::string::npos) << serial;
+  EXPECT_EQ(message(kFullTeam), serial);
+}
+
 /// The memo cache must hand back the recorded result when the BO re-proposes
 /// a (K, theta) it has already trained: re-proposed specs show up as repeat
 /// steps with identical objectives.
@@ -643,14 +790,23 @@ namespace ahn::baselines {
 namespace {
 
 TEST(Perforation, PicksFullKeepWhenQualityFragile) {
-  // FFT collapses under stage perforation, so calibration must keep 1.0.
+  // FFT collapses under stage perforation, so calibration must keep 1.0,
+  // which runs the exact region: checked on the region's analytic op
+  // counts, not on wall-clock time.
   auto app = apps::make_application("FFT");
   app->generate_problems(10, 3);
   const std::vector<std::size_t> cal{0, 1, 2, 3};
   const std::vector<std::size_t> eval{4, 5, 6, 7};
   const PerforationResult res = tune_and_evaluate(*app, cal, eval);
   EXPECT_EQ(res.keep_fraction, 1.0);
-  EXPECT_NEAR(res.speedup, 1.0, 0.35);
+  for (const std::size_t p : eval) {
+    const OpCounts exact = app->run_region(p).region_ops;
+    const OpCounts perforated = app->run_region_perforated(p, res.keep_fraction).region_ops;
+    EXPECT_GT(exact.flops, 0u);
+    EXPECT_EQ(perforated.flops, exact.flops) << "problem " << p;
+    EXPECT_EQ(perforated.bytes_read, exact.bytes_read) << "problem " << p;
+    EXPECT_EQ(perforated.bytes_written, exact.bytes_written) << "problem " << p;
+  }
 }
 
 TEST(Perforation, ExploitsTolerantKernels) {
