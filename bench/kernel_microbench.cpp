@@ -10,6 +10,9 @@
 // The full-thread target is capped below 4x on machines with too few cores to
 // reach it from scaling; on a 1-core container both gates coincide at 2x.
 //
+// A table of the three training products at the offline build's shapes
+// (single thread) is printed and written without a gate.
+//
 // `kernel_microbench --grain` instead measures the work at which forking an
 // OpenMP team starts to pay (the basis of kParallelGrain in
 // common/parallel.hpp) and exits without gating; see run_grain below.
@@ -22,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -167,6 +171,44 @@ SkinnyResult run_skinny(std::size_t m, std::size_t n, std::size_t k, std::size_t
   } else {
     r.selected_seconds = r.fast_seconds;
   }
+  return r;
+}
+
+// ------------------------------------------------------- training products
+// The three products of one dense layer's training step, at the shapes the
+// offline build runs most: a 32-row batch through a 32-wide hidden layer
+// (k = 32 and k = 8), and the Canneal autoencoder's decoder (32 x 37 x 96).
+// NN is the forward pass, TN the weight gradient and NT the input gradient.
+// Single thread, per-call best; printed and written, not gated.
+
+struct TrainingResult {
+  std::size_t m = 0, n = 0, k = 0;
+  double nn_seconds = 0.0, tn_seconds = 0.0, nt_seconds = 0.0;
+};
+
+TrainingResult run_training(std::size_t m, std::size_t n, std::size_t k, std::size_t reps) {
+  Rng rng(7 + m * 131 + n * 7 + k);
+  // a is read as (m x k) or (k x m), b as (k x n) or (n x k): same sizes.
+  std::vector<double> a(m * k), b(k * n), c(m * n);
+  for (auto& v : a) v = rng.uniform(-1.0, 1.0);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  const std::size_t flops = 2 * m * n * k;
+  const auto time = [&](bool a_trans, bool b_trans) {
+    return best_of_calls(
+        [&] {
+          ops::detail::gemm(a_trans, b_trans, m, n, k, a.data(), b.data(), c.data(),
+                            nullptr, ops::EpilogueAct::None);
+          g_sink = c[0];
+        },
+        flops, reps);
+  };
+  TrainingResult r;
+  r.m = m;
+  r.n = n;
+  r.k = k;
+  r.nn_seconds = time(false, false);
+  r.tn_seconds = time(true, false);
+  r.nt_seconds = time(false, true);
   return r;
 }
 
@@ -345,6 +387,24 @@ int main(int argc, char** argv) {
   std::cout << "geomean speedup skinny:  " << TextTable::num(skinny_geo, 2)
             << "x (target >= " << TextTable::num(skinny_target, 2) << "x)\n";
 
+  omp_set_num_threads(1);
+  std::vector<TrainingResult> training;
+  for (const auto& [m, n, k] : {std::tuple<std::size_t, std::size_t, std::size_t>{32, 32, 32},
+                                {32, 32, 8},
+                                {32, 37, 96}}) {
+    training.push_back(run_training(m, n, k, reps));
+  }
+  omp_set_num_threads(max_threads);
+  TextTable training_table({"M", "N", "K", "NN (us)", "TN (us)", "NT (us)"});
+  for (const TrainingResult& r : training) {
+    training_table.add_row({std::to_string(r.m), std::to_string(r.n), std::to_string(r.k),
+                            TextTable::num(r.nn_seconds * 1e6, 2),
+                            TextTable::num(r.tn_seconds * 1e6, 2),
+                            TextTable::num(r.nt_seconds * 1e6, 2)});
+  }
+  std::cout << "\ntraining products (single thread, no gate):\n"
+            << training_table.render() << "\n";
+
   const bool ok =
       geo_1t >= target_1t && geo_mt >= target_mt && skinny_geo >= skinny_target;
 
@@ -368,6 +428,14 @@ int main(int argc, char** argv) {
          << ", \"selected_seconds\": " << r.selected_seconds << ", \"kernel\": \""
          << ops::kernel_choice_name(r.choice) << "\", \"speedup\": " << r.speedup()
          << "}" << (i + 1 < skinny.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"training\": [\n";
+  for (std::size_t i = 0; i < training.size(); ++i) {
+    const TrainingResult& r = training[i];
+    json << "    {\"m\": " << r.m << ", \"n\": " << r.n << ", \"k\": " << r.k
+         << ", \"nn_seconds\": " << r.nn_seconds << ", \"tn_seconds\": " << r.tn_seconds
+         << ", \"nt_seconds\": " << r.nt_seconds << "}"
+         << (i + 1 < training.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"geomean_speedup_1t\": " << geo_1t
        << ",\n  \"geomean_speedup_all_threads\": " << geo_mt

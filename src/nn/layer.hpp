@@ -214,6 +214,7 @@ class Conv1dLayer final : public Layer {
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&gw_, &gb_}; }
   std::vector<const Tensor*> const_params() const override { return {&w_, &b_}; }
@@ -226,6 +227,11 @@ class Conv1dLayer final : public Layer {
   void clear_cache() override { x_cache_ = Tensor(); }
 
  private:
+  /// Accumulates gw_ and gb_ from grad_out and, when input_grad, returns the
+  /// input gradient (else an empty tensor). gw_ and gb_ see the same order
+  /// either way.
+  Tensor accumulate_grads(const Tensor& grad_out, bool input_grad);
+
   std::size_t in_channels_, out_channels_, kernel_, length_;
   Tensor w_;  // (out_c x in_c x k) flattened
   Tensor b_;  // (out_c)

@@ -274,15 +274,15 @@ Tensor Conv1dLayer::forward(const Tensor& x, bool training) {
   return y;
 }
 
-Tensor Conv1dLayer::backward(const Tensor& grad_out) {
+Tensor Conv1dLayer::accumulate_grads(const Tensor& grad_out, bool input_grad) {
   AHN_CHECK(!x_cache_.empty());
   const std::size_t batch = x_cache_.rows();
   const std::size_t pad = kernel_ / 2;
-  Tensor gx({batch, in_channels_ * length_});
+  Tensor gx = input_grad ? Tensor({batch, in_channels_ * length_}) : Tensor();
   for (std::size_t n = 0; n < batch; ++n) {
     const double* xi = x_cache_.data() + n * in_channels_ * length_;
     const double* go = grad_out.data() + n * out_channels_ * length_;
-    double* gxi = gx.data() + n * in_channels_ * length_;
+    double* gxi = input_grad ? gx.data() + n * in_channels_ * length_ : nullptr;
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
       for (std::size_t t = 0; t < length_; ++t) {
         const double g = go[oc * length_ + t];
@@ -295,7 +295,7 @@ Tensor Conv1dLayer::backward(const Tensor& grad_out) {
                                        static_cast<std::ptrdiff_t>(pad);
             if (src >= 0 && src < static_cast<std::ptrdiff_t>(length_)) {
               gwrow[k] += g * xi[ic * length_ + src];
-              gxi[ic * length_ + src] += g * wrow[k];
+              if (gxi != nullptr) gxi[ic * length_ + src] += g * wrow[k];
             }
           }
         }
@@ -303,6 +303,14 @@ Tensor Conv1dLayer::backward(const Tensor& grad_out) {
     }
   }
   return gx;
+}
+
+void Conv1dLayer::backward_params(const Tensor& grad_out) {
+  (void)accumulate_grads(grad_out, false);
+}
+
+Tensor Conv1dLayer::backward(const Tensor& grad_out) {
+  return accumulate_grads(grad_out, true);
 }
 
 OpCounts Conv1dLayer::inference_cost(std::size_t batch) const {

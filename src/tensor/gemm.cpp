@@ -126,21 +126,30 @@ inline void write_back(double* c, std::size_t ldc, std::size_t rows,
   }
 }
 
-/// Unpacked path for small products (k * n below kSmallGemm) with op(B) = B,
-/// i.e. the forward (NN) and weight-gradient (TN) products. Full groups of
-/// kMr rows run fma_tile over kNr-column tiles straight from A and B; the
-/// last n % kNr columns read a zero-padded copy of their panel. A tail of
-/// fewer than kMr rows runs fma_row. Both compute every element as the same
-/// fma chain over all k, so a row's bits depend on neither its group nor m
-/// nor the thread count.
-void gemm_small_nn(bool a_trans, std::size_t m, std::size_t n, std::size_t k,
-                   const double* a, const double* b, double* c, const double* bias,
-                   EpilogueAct act) {
+/// Unpacked path for small products (k * n at or below kSmallGemm), every
+/// orientation. op(B) = B^T (the input-gradient NT product) is first
+/// transposed into a thread-local (k x n) panel, so all three products run
+/// one loop. Full groups of kMr rows run fma_tile over kNr-column tiles
+/// straight from A and B; the last n % kNr columns read a zero-padded copy of
+/// their panel. A tail of fewer than kMr rows runs fma_row. Both compute
+/// every element as the same fma chain over all k, so a row's bits depend on
+/// neither its group nor m nor the thread count.
+void gemm_small(bool a_trans, bool b_trans, std::size_t m, std::size_t n,
+                std::size_t k, const double* a, const double* b, double* c,
+                const double* bias, EpilogueAct act) {
   // A(i, p) = a[i * a_rs + p * a_ps].
   const std::size_t a_rs = a_trans ? 1 : k;
   const std::size_t a_ps = a_trans ? m : 1;
   const std::size_t n_full = n / kNr * kNr;
+  static thread_local std::vector<double> bt;
   static thread_local std::vector<double> tail;
+  if (b_trans) {
+    bt.resize(k * n);
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t j = 0; j < n; ++j) bt[p * n + j] = b[j * k + p];
+    }
+    b = bt.data();
+  }
   if (m >= kMr && n_full < n) {
     tail.assign(k * kNr, 0.0);
     for (std::size_t p = 0; p < k; ++p) {
@@ -167,31 +176,6 @@ void gemm_small_nn(bool a_trans, std::size_t m, std::size_t n, std::size_t k,
     fma_tile(k, a + i0 * a_rs, a_rs, a_ps, tail_panel, kNr, acc);
     write_back(c + i0 * n + n_full, n, kMr, n - n_full, acc, true, true,
                bias != nullptr ? bias + n_full : nullptr, act);
-  });
-}
-
-/// Unpacked path for small products with op(B) = B^T (the input-gradient
-/// NT product): row-parallel dot loops plus the epilogue. Each element is an
-/// ascending-p chain independent of m and of the thread count; whether its
-/// steps are fused is left to the compiler, which picks per k, so the loop
-/// stays as it is to keep the bits of every trained model.
-void gemm_small_nt(bool a_trans, std::size_t m, std::size_t n, std::size_t k,
-                   const double* a, const double* b, double* c, const double* bias,
-                   EpilogueAct act) {
-  parallel_for(m * n * k, m, [&](std::size_t i) {
-    double* __restrict crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* __restrict brow = b + j * k;
-      double s = 0.0;
-      if (a_trans) {
-        for (std::size_t p = 0; p < k; ++p) s += a[p * m + i] * brow[p];
-      } else {
-        const double* __restrict arow = a + i * k;
-        for (std::size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      }
-      crow[j] = s;
-    }
-    epilogue_row(crow, n, bias, act);
   });
 }
 
@@ -253,11 +237,7 @@ void gemm(bool a_trans, bool b_trans, std::size_t m, std::size_t n, std::size_t 
   }
   // Path choice must not depend on m (see kSmallGemm).
   if (k * n <= kSmallGemm) {
-    if (b_trans) {
-      gemm_small_nt(a_trans, m, n, k, a, b, c, bias, act);
-    } else {
-      gemm_small_nn(a_trans, m, n, k, a, b, c, bias, act);
-    }
+    gemm_small(a_trans, b_trans, m, n, k, a, b, c, bias, act);
   } else {
     gemm_blocked(a_trans, b_trans, m, n, k, a, b, c, bias, act);
   }

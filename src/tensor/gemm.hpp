@@ -6,24 +6,23 @@
 // by every thread, and threads claim disjoint MC row blocks whose A panels
 // they pack thread-locally into MR-row panels. The innermost microkernel
 // accumulates an MR x NR register tile over the packed panels. Small
-// products (kSmallGemm) skip packing: with op(B) = B they run the same
-// register tile straight from A and B over MR-row groups, and with
-// op(B) = B^T a row-parallel dot loop.
+// products (kSmallGemm) skip panel packing and run the same register tile
+// straight from A and B over MR-row groups; op(B) = B^T is transposed once
+// per call into a (k x n) panel first.
 //
 // Determinism contract (the property gradient checkpointing and the serving
 // runtime's batched-inference bitwise guarantee rely on):
 //  * every C element is produced by exactly one thread (threads partition
 //    output rows, never the reduction dimension), and
-//  * with op(B) = B its value is c = fma(op(A)(i, p), B(p, j), c) from
-//    c = 0.0 over ascending p, written as std::fma: one chain over all of k
-//    on the small path, one chain per KC panel with the panels summed in
-//    order on the blocked path. Then the bias is added and the activation
-//    applied, once. The small op(B) = B^T loop is an ascending-p chain
-//    whose fusing the compiler picks.
+//  * in every orientation its value is c = fma(op(A)(i, p), op(B)(p, j), c)
+//    from c = 0.0 over ascending p, written as std::fma: one chain over all
+//    of k on the small path, one chain per KC panel with the panels summed
+//    in order on the blocked path. Then the bias is added and the
+//    activation applied, once.
 // The accumulation order depends only on k and on which path (k * n) takes,
-// never on m, tile position, or thread count — so results are bitwise
-// identical across OMP_NUM_THREADS settings, and row i of a batched product
-// equals the same row computed as a 1-row product.
+// never on m, the orientation, tile position, or thread count — so results
+// are bitwise identical across OMP_NUM_THREADS settings, and row i of a
+// batched product equals the same row computed as a 1-row product.
 
 #include <cstddef>
 
@@ -38,13 +37,13 @@ inline constexpr std::size_t kNr = 8;
 inline constexpr std::size_t kKc = 256;
 /// MC row block: unit of thread-level parallelism and A-packing.
 inline constexpr std::size_t kMc = 64;
-/// Products with k * n at or below this skip packing entirely (the panel
+/// Products with k * n at or below this skip the blocked path's panels (the
 /// setup would cost more than it saves). The threshold deliberately ignores
 /// m so a 1-row product takes the same code path — and therefore the same
 /// accumulation order — as any batch with the same (k, n).
 inline constexpr std::size_t kSmallGemm = 64 * 64;
 
-/// Work the unpacked op(B) = B path reports to parallel_for: half its
+/// Work the unpacked path reports to parallel_for: half its
 /// multiply-adds. Forking a team costs a fixed few microseconds, and the
 /// register tile is fast enough that a team pays only from
 /// 2 * kParallelGrain of them (`kernel_microbench --grain` on a 4-vCPU

@@ -91,6 +91,19 @@ TEST_P(AllApps, PerforationFullKeepMatchesExactQuality) {
   EXPECT_LT(app->qoi_error(0, exact.outputs, perf.outputs), 1e-9);
 }
 
+// At keep 1.0 the perforated region is the exact region, so it must count
+// the same operations: a perforation baseline is priced on these counts.
+TEST_P(AllApps, PerforationFullKeepCountsExactOps) {
+  for (std::size_t i = 0; i < app->problem_count(); ++i) {
+    const OpCounts exact = app->run_region(i).region_ops;
+    const OpCounts perf = app->run_region_perforated(i, 1.0).region_ops;
+    EXPECT_GT(exact.flops, 0u) << "problem " << i;
+    EXPECT_EQ(perf.flops, exact.flops) << "problem " << i;
+    EXPECT_EQ(perf.bytes_read, exact.bytes_read) << "problem " << i;
+    EXPECT_EQ(perf.bytes_written, exact.bytes_written) << "problem " << i;
+  }
+}
+
 TEST_P(AllApps, SparseBatchMatchesDenseFeatures) {
   const std::vector<std::size_t> ids{0, 1, 2};
   const sparse::Csr batch = app->sparse_input_batch(ids);

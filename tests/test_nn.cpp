@@ -133,6 +133,35 @@ TEST(Layers, Conv1dForwardBitwiseAcrossTeamSizes) {
       team_test::at_team_budgets([&] { return conv.forward(x, false); }));
 }
 
+// A first conv layer skips its input gradient (backward_params); its weight
+// and bias gradients must be bitwise what backward() accumulates, including
+// on top of an earlier batch's gradients.
+TEST(Layers, Conv1dBackwardParamsMatchesBackwardBitwise) {
+  Rng rng(5);
+  const std::size_t in = 3, out = 4, kernel = 5, length = 16, batch = 6;
+  Conv1dLayer full(in, out, kernel, length, rng);
+  std::unique_ptr<Layer> params_only = full.clone();
+  for (int step = 0; step < 2; ++step) {
+    const Tensor x = Tensor::randn({batch, in * length}, rng);
+    const Tensor g = Tensor::randn({batch, out * length}, rng);
+    (void)full.forward(x, true);
+    (void)params_only->forward(x, true);
+    const Tensor gx = full.backward(g);
+    EXPECT_EQ(gx.rows(), batch);
+    EXPECT_EQ(gx.cols(), in * length);
+    params_only->backward_params(g);
+    const auto want = full.grads();
+    const auto got = params_only->grads();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(want[i]->size(), got[i]->size());
+      EXPECT_EQ(0, std::memcmp(want[i]->data(), got[i]->data(),
+                               want[i]->size() * sizeof(double)))
+          << "step " << step << " grad " << i;
+    }
+  }
+}
+
 TEST(Layers, MaxPoolForwardAndRouting) {
   MaxPool1dLayer pool(1, 4, 2);
   Tensor x({1, 4}, {1.0, 5.0, 2.0, 3.0});

@@ -249,14 +249,18 @@ TEST_F(GemmKernels, BitwiseDeterministicAcrossThreadCounts) {
     }
     const Tensor a = Tensor::randn({s.m, s.k}, rng);
     const Tensor b = Tensor::randn({s.k, s.n}, rng);
+    const Tensor bt = ops::ref::transpose(b);  // (n x k)
     const Tensor bias = Tensor::randn({s.n}, rng);
     team_test::expect_bitwise_equal(team_test::at_team_budgets(
         [&] { return ops::matmul_epilogue(a, b, &bias, ops::EpilogueAct::Relu); }));
+    // The NT product's workers read the calling thread's transposed panel.
+    team_test::expect_bitwise_equal(
+        team_test::at_team_budgets([&] { return ops::matmul_nt(a, bt); }));
   }
 }
 
-/// C = op(A) * B + bias by the recurrence the fast kernel promises for
-/// op(B) = B: per element a std::fma chain from 0.0 over ascending p, one
+/// C = op(A) * B + bias by the recurrence the fast kernel promises in every
+/// orientation: per element a std::fma chain from 0.0 over ascending p, one
 /// chain over all k when k * n <= kSmallGemm, else one chain per kKc panel
 /// with the panels summed in order; then one plain add of the bias.
 Tensor fma_chain_reference(bool a_trans, const Tensor& a, const Tensor& b,
@@ -281,9 +285,10 @@ Tensor fma_chain_reference(bool a_trans, const Tensor& a, const Tensor& b,
   return c;
 }
 
-// The NN (forward) and TN (weight-gradient) products are exactly the fma
-// recurrence above, bitwise, on both paths: tail rows and columns of the
-// 4x8 tile, a single row, and k past one KC panel.
+// The NN (forward), TN (weight-gradient) and NT (input-gradient) products
+// are exactly the fma recurrence above, bitwise, on both paths: tail rows and
+// columns of the 4x8 tile, a single row, and k past one KC panel. NT is also
+// run with a transposed A, which no layer uses but the kernel accepts.
 TEST_F(GemmKernels, ForwardAndWeightGradientAreFmaChains) {
   Rng rng(18);
   for (std::size_t m : {1, 2, 3, 4, 5, 7, 32, 33}) {
@@ -293,15 +298,24 @@ TEST_F(GemmKernels, ForwardAndWeightGradientAreFmaChains) {
         const Tensor a = Tensor::randn({m, k}, rng);
         const Tensor at = ops::ref::transpose(a);  // (k x m)
         const Tensor b = Tensor::randn({k, n}, rng);
+        const Tensor bt = ops::ref::transpose(b);  // (n x k)
         const Tensor bias = Tensor::randn({n}, rng);
         const Tensor want = fma_chain_reference(false, a, b, bias);
+        const std::size_t bytes = want.size() * sizeof(double);
         ASSERT_EQ(0, std::memcmp(want.data(), fma_chain_reference(true, at, b, bias).data(),
-                                 want.size() * sizeof(double)));
+                                 bytes));
         const Tensor nn = ops::matmul_epilogue(a, b, &bias, ops::EpilogueAct::None);
         Tensor tn = ops::matmul_tn(at, b);
         ops::add_row_bias(tn, bias);
-        ASSERT_EQ(0, std::memcmp(nn.data(), want.data(), want.size() * sizeof(double)));
-        ASSERT_EQ(0, std::memcmp(tn.data(), want.data(), want.size() * sizeof(double)));
+        Tensor nt = ops::matmul_nt(a, bt);
+        ops::add_row_bias(nt, bias);
+        Tensor tt({m, n});
+        ops::detail::gemm(true, true, m, n, k, at.data(), bt.data(), tt.data(), bias.data(),
+                          ops::EpilogueAct::None);
+        ASSERT_EQ(0, std::memcmp(nn.data(), want.data(), bytes)) << "NN";
+        ASSERT_EQ(0, std::memcmp(tn.data(), want.data(), bytes)) << "TN";
+        ASSERT_EQ(0, std::memcmp(nt.data(), want.data(), bytes)) << "NT";
+        ASSERT_EQ(0, std::memcmp(tt.data(), want.data(), bytes)) << "NT, A transposed";
       }
     }
   }
