@@ -9,6 +9,8 @@
 //   all threads     >= min(4.0x, 2.0 * omp_get_max_threads())
 // The full-thread target is capped below 4x on machines with too few cores to
 // reach it from scaling; on a 1-core container both gates coincide at 2x.
+// The all-thread cells are timed after every single-thread cell, on a team
+// warmed at the all-thread budget.
 //
 // A table of the three training products at the offline build's shapes
 // (single thread) is printed and written without a gate.
@@ -26,6 +28,7 @@
 #include <iostream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -310,26 +313,45 @@ int main(int argc, char** argv) {
   const std::size_t reps = std::max<std::size_t>(2, bench::scaled(5, 2));
   const std::vector<std::size_t> sizes{256, 512, 1024};
 
-  std::vector<SizeResult> results;
-  for (const std::size_t n : sizes) {
+  const auto operands = [](std::size_t n) {
     Rng rng(17 + n);
-    const Tensor a = Tensor::randn({n, n}, rng);
-    const Tensor b = Tensor::randn({n, n}, rng);
+    Tensor a = Tensor::randn({n, n}, rng);
+    Tensor b = Tensor::randn({n, n}, rng);
+    return std::make_pair(std::move(a), std::move(b));
+  };
+  std::vector<SizeResult> results;
+  omp_set_num_threads(1);
+  for (const std::size_t n : sizes) {
+    const auto [a, b] = operands(n);
     SizeResult r;
     r.n = n;
-
-    omp_set_num_threads(1);
     ops::set_gemm_impl(ops::GemmImpl::Naive);
     r.naive_seconds = best_of(a, b, reps);
     ops::set_gemm_impl(ops::GemmImpl::Fast);
     r.fast_1t_seconds = best_of(a, b, reps);
-
-    omp_set_num_threads(max_threads);
-    r.fast_mt_seconds =
-        max_threads > 1 ? best_of(a, b, reps) : r.fast_1t_seconds;
+    r.fast_mt_seconds = r.fast_1t_seconds;
     results.push_back(r);
   }
   omp_set_num_threads(max_threads);
+  if (max_threads > 1) {
+    // The all-thread cells run after every 1T cell, on a team warmed at the
+    // all-thread budget until one untimed call of the smallest product beats
+    // its 1T time (for at most 2 s). On a 4-vCPU VM that had sat idle, the
+    // first ~1 s of all-thread regions each stalled ~16 ms, whatever the
+    // kernel; a kernel slower on all threads still fails the gate below.
+    const auto [a, b] = operands(sizes.front());
+    const Timer warm;
+    for (double call = 1e300;
+         call > results.front().fast_1t_seconds && warm.seconds() < 2.0;) {
+      const Timer t;
+      g_sink = ops::matmul(a, b).at(0, 0);
+      call = t.seconds();
+    }
+    for (SizeResult& r : results) {
+      const auto [an, bn] = operands(r.n);
+      r.fast_mt_seconds = best_of(an, bn, reps);
+    }
+  }
 
   TextTable table({"n", "naive 1T (s)", "fast 1T (s)", "fast all-T (s)",
                    "speedup 1T", "speedup all-T", "GFLOP/s"});

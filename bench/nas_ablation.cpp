@@ -5,7 +5,8 @@
 // Reported: best feasible f_e / f_c and wall time at equal budgets.
 //
 // Extended with the population-based LTFB arms (docs/NAS.md): P independent
-// 2D searchers with tournament elite exchange, at P in {1, 2, 4, 8}. Each
+// 2D searchers with tournament elite exchange, at P in {1, 2, 4, 8}, each
+// arm at an OpenMP team budget of P (one thread per worker). Each
 // worker gets the SAME per-worker budget as the serial hierarchical arm
 // (3 rounds x budget/3 inner iterations), so the ideal wall-clock of every
 // LTFB arm equals the serial arm while total exploration scales with P.
@@ -14,8 +15,11 @@
 //      BO under the task's quality bound (the LTFB promise: more workers at
 //      equal wall-clock must not cost quality);
 //   2. determinism — the P=2 configuration is bitwise-identical when run
-//      serially and on pools of 1 and 2 threads (the ltfb.hpp contract).
+//      serially (TeamOfOne) and at team budgets 1, 2 and 4 (the ltfb.hpp
+//      contract).
 // Emits BENCH_nas_ltfb.json plus BENCH_nas_ltfb.prom for the CI smoke.
+
+#include <omp.h>
 
 #include <fstream>
 #include <iostream>
@@ -25,6 +29,7 @@
 
 #include "apps/registry.hpp"
 #include "bench/bench_util.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "core/pipeline.hpp"
@@ -32,7 +37,6 @@
 #include "nas/ltfb.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -70,6 +74,16 @@ bool same_trajectory(const nas::PopulationResult& a, const nas::PopulationResult
          a.best.hit_share == b.best.hit_share &&
          a.best.modeled_infer_seconds == b.best.modeled_infer_seconds &&
          a.tournaments.size() == b.tournaments.size();
+}
+
+/// The population search at the calling thread's team budget `threads`.
+nas::PopulationResult search_at_budget(const nas::PopulationOptions& popt,
+                                       const nas::SearchTask& task, int threads) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  nas::PopulationResult res = nas::PopulationSearch(popt).search(task);
+  omp_set_num_threads(saved);
+  return res;
 }
 
 }  // namespace
@@ -160,11 +174,8 @@ int main(int argc, char** argv) {
   std::vector<LtfbArm> arms;
   for (const std::size_t p : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
-    nas::PopulationOptions popt = ltfb_options(p);
-    runtime::ThreadPool pool(p);
-    popt.pool = &pool;
     const Timer t;
-    nas::PopulationResult res = nas::PopulationSearch(popt).search(task);
+    nas::PopulationResult res = search_at_budget(ltfb_options(p), task, static_cast<int>(p));
     const double secs = t.seconds();
     report("LTFB population P=" + std::to_string(p), res.found_feasible, res.best,
            res.evaluations(), secs);
@@ -190,20 +201,20 @@ int main(int argc, char** argv) {
             1.10 * hierarchical.best.modeled_infer_seconds));
   reg.gauge("nas.ltfb.quality_gate_ok").set(quality_ok ? 1.0 : 0.0);
 
-  // Gate 2: the determinism contract — serial, pool(1) and pool(2) runs of
-  // the P=2 configuration must produce bitwise-identical trajectories.
+  // Gate 2: the determinism contract — the P=2 configuration must produce
+  // bitwise-identical trajectories serially and at team budgets 1, 2 and 4.
   bool determinism_ok = true;
   {
-    const nas::PopulationOptions serial_opts = ltfb_options(2);
-    const nas::PopulationResult serial = nas::PopulationSearch(serial_opts).search(task);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      nas::PopulationOptions popt = ltfb_options(2);
-      runtime::ThreadPool pool(threads);
-      popt.pool = &pool;
-      const nas::PopulationResult pooled = nas::PopulationSearch(popt).search(task);
-      if (!same_trajectory(serial, pooled)) {
-        std::cout << "FAIL: P=2 trajectory diverged on a " << threads
-                  << "-thread pool\n";
+    const nas::PopulationOptions popt = ltfb_options(2);
+    nas::PopulationResult serial;
+    {
+      const TeamOfOne one;
+      serial = nas::PopulationSearch(popt).search(task);
+    }
+    for (const int threads : {1, 2, 4}) {
+      if (!same_trajectory(serial, search_at_budget(popt, task, threads))) {
+        std::cout << "FAIL: P=2 trajectory diverged at a team budget of " << threads
+                  << "\n";
         determinism_ok = false;
       }
     }

@@ -1,21 +1,21 @@
 // End-to-end throughput bench for the perf-kernel layer: (A) surrogate
 // training wall-clock with the blocked/packed kernels (GemmImpl::Fast) vs the
-// naive reference, and (B) 2D-NAS search wall-clock with batched candidate
-// evaluation on a ThreadPool vs the serial loop, both with the calling thread
-// at a team of one (the full-team search, whose first arms run concurrently,
-// is printed beside them, ungated).
+// naive reference, and (B) 2D-NAS search wall-clock, eval_batch = 4, with the
+// calling thread at a team of one (the serial search) vs the same search at
+// the full team, where the first arms and each round's fresh candidates run
+// as whole tasks on the team.
 //
 // Both comparisons REQUIRE unchanged results: training must reach the same
 // validation loss to float tolerance (the kernels reorder no accumulation the
 // optimizer can observe across impls beyond the documented blocking order),
-// and the pooled search must reproduce the serial incumbent and every search
-// step EXACTLY — parallelism is not allowed to change what the search finds.
+// and the full-team search must reproduce the serial incumbent and every
+// search step EXACTLY — parallelism is not allowed to change what the search
+// finds.
 //
 // The speedup gates are dynamic: the kernel gate is 2x with >= 8 hardware
 // threads (kernels + scaling) and 1.2x below that (kernels alone), and the
-// NAS wall-clock gate only applies with >= 2 hardware threads (on a 1-core
-// container the pooled path degenerates to the serial schedule plus queueing
-// overhead, so only the identity check gates there).
+// NAS wall-clock gate only applies with >= 2 hardware threads (with one, the
+// full team is the serial search, so only the identity check gates there).
 
 #include <omp.h>
 
@@ -33,7 +33,6 @@
 #include "nas/two_d_nas.hpp"
 #include "nn/topology.hpp"
 #include "nn/train.hpp"
-#include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -96,7 +95,7 @@ nn::TrainResult train_once(const nn::Dataset& data, const nn::TrainOptions& opts
 }  // namespace
 
 int main() {
-  bench::print_header("Training + NAS throughput: fast kernels and pooled search",
+  bench::print_header("Training + NAS throughput: fast kernels and full-team search",
                       "offline search cost, Table 2 / §7.2 budget");
 
   const int max_threads = omp_get_max_threads();
@@ -124,7 +123,7 @@ int main() {
       std::abs(fast_res.val_loss - naive_res.val_loss) /
       (std::abs(naive_res.val_loss) + 1e-12);
 
-  // --- B. NAS search: serial vs pooled candidate evaluation. ---------------
+  // --- B. NAS search: serial vs the same search at the full team. ----------
   nas::NasOptions nopts;
   nopts.outer_iterations = bench::scaled(2, 1);
   nopts.inner_iterations = bench::scaled(4, 3);
@@ -133,63 +132,46 @@ int main() {
   nopts.ae_epochs = bench::scaled(30, 10);
   nopts.eval_batch = 4;
 
-  // The search also runs its first arms concurrently on the calling thread's
-  // team. The gated pair both runs with the calling thread at a team of one,
-  // so the gate times what the pool adds and nothing else; the full-team
-  // search is an ungated row.
-  const auto timed_search = [&task](const nas::NasOptions& o, bool team_of_one,
-                                    double& seconds) {
+  const auto timed_search = [&task, &nopts](bool team_of_one, double& seconds) {
     std::optional<TeamOfOne> one;
     if (team_of_one) one.emplace();
     const Timer timer;
-    nas::NasResult res = nas::TwoDNas(o).search(task);
+    nas::NasResult res = nas::TwoDNas(nopts).search(task);
     seconds = timer.seconds();
     return res;
   };
-  double serial_seconds = 0.0, pooled_seconds = 0.0, full_team_seconds = 0.0;
-  const nas::NasResult serial = timed_search(nopts, true, serial_seconds);
-  const nas::NasResult full_team = timed_search(nopts, false, full_team_seconds);
+  double serial_seconds = 0.0, team_seconds = 0.0;
+  const nas::NasResult serial = timed_search(true, serial_seconds);
+  const nas::NasResult team = timed_search(false, team_seconds);
+  const double nas_speedup = serial_seconds / team_seconds;
 
-  runtime::ThreadPool pool(std::max(2, max_threads));
-  nopts.pool = &pool;
-  const nas::NasResult pooled = timed_search(nopts, true, pooled_seconds);
-  const double nas_speedup = serial_seconds / pooled_seconds;
-
-  // Pooled and full-team searches must reproduce the serial search
-  // step-for-step.
-  const auto same_search = [&serial](const nas::NasResult& r) {
-    bool same = r.steps.size() == serial.steps.size() &&
-                r.found_feasible == serial.found_feasible &&
-                r.best.quality_error == serial.best.quality_error &&
-                r.best.hit_share == serial.best.hit_share &&
-                r.best.latent_k == serial.best.latent_k;
-    for (std::size_t i = 0; same && i < serial.steps.size(); ++i) {
-      same = r.steps[i].latent_k == serial.steps[i].latent_k &&
-             r.steps[i].spec == serial.steps[i].spec &&
-             r.steps[i].quality_error == serial.steps[i].quality_error &&
-             r.steps[i].hit_share == serial.steps[i].hit_share;
-    }
-    return same;
-  };
-  const bool identical = same_search(pooled) && same_search(full_team);
+  // The full-team search must reproduce the serial search step-for-step.
+  bool identical = team.steps.size() == serial.steps.size() &&
+                   team.found_feasible == serial.found_feasible &&
+                   team.best.quality_error == serial.best.quality_error &&
+                   team.best.hit_share == serial.best.hit_share &&
+                   team.best.latent_k == serial.best.latent_k;
+  for (std::size_t i = 0; identical && i < serial.steps.size(); ++i) {
+    identical = team.steps[i].latent_k == serial.steps[i].latent_k &&
+                team.steps[i].spec == serial.steps[i].spec &&
+                team.steps[i].quality_error == serial.steps[i].quality_error &&
+                team.steps[i].hit_share == serial.steps[i].hit_share;
+  }
 
   TextTable table({"stage", "baseline (s)", "optimized (s)", "speedup"});
   table.add_row({"surrogate training (naive vs fast GEMM)",
                  TextTable::num(naive_seconds, 3), TextTable::num(fast_seconds, 3),
                  TextTable::num(train_speedup, 2) + "x"});
-  table.add_row({"2D NAS (serial vs eval_batch=4 pooled)",
-                 TextTable::num(serial_seconds, 3), TextTable::num(pooled_seconds, 3),
+  table.add_row({"2D NAS, eval_batch=4 (team of one vs full team)",
+                 TextTable::num(serial_seconds, 3), TextTable::num(team_seconds, 3),
                  TextTable::num(nas_speedup, 2) + "x"});
-  table.add_row({"2D NAS (serial vs concurrent arms, ungated)",
-                 TextTable::num(serial_seconds, 3), TextTable::num(full_team_seconds, 3),
-                 TextTable::num(serial_seconds / full_team_seconds, 2) + "x"});
   std::cout << table.render() << "\n";
 
   std::cout << "threads:                   " << max_threads << "\n"
             << "val loss naive/fast:       " << TextTable::num(naive_res.val_loss, 6)
             << " / " << TextTable::num(fast_res.val_loss, 6) << " (rel gap "
             << TextTable::num(val_gap, 4) << ", tol 0.5)\n"
-            << "pooled, full team == serial search: " << (identical ? "yes" : "NO")
+            << "full team == serial search: " << (identical ? "yes" : "NO")
             << "\n";
 
   // Gates: kernel speedup always (2x once >= 8 threads can contribute, 1.2x

@@ -15,8 +15,14 @@
 // Team budget: omp_get_max_threads() reads OpenMP's per-thread nthreads ICV.
 // Serving never forks: Orchestrator::serve runs every batch at a team of one
 // (TeamOfOne) on whichever thread runs it — a client, an inline leader or the
-// batching flusher — and ThreadPool workers set a budget of 1 once at start.
-// The thread that builds a model keeps the full team.
+// batching flusher. The thread that builds a model keeps the full team.
+//
+// Whole tasks: independent units far above the grain (exact sample runs, NAS
+// candidates, LTFB worker rounds) run as the iterations of one parallel_for
+// through parallel_tasks; the 2D search's arms do too, with their own
+// deferred rethrow. Inside the team every nested loop runs serially, so each
+// task runs at a team of one; a single task runs inline at the caller's
+// budget.
 //
 // Determinism: iterations stay the unit of parallel work and each writes
 // only its own outputs, so a result never depends on the team size chosen
@@ -26,6 +32,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
+#include <vector>
 
 namespace ahn {
 
@@ -65,6 +73,25 @@ void parallel_for(std::size_t work, std::size_t n, Body&& body) {
   // The team is the calling thread's whole budget, its nthreads ICV.
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
+/// Runs task(i) for i in [0, n) as independent whole tasks, one per
+/// iteration of a parallel_for. An exception must not leave an OpenMP
+/// region: each task keeps its own, and the lowest index's, the one a serial
+/// loop would have thrown, is rethrown after the team.
+template <typename Task>
+void parallel_tasks(std::size_t n, Task&& task) {
+  std::vector<std::exception_ptr> errors(n);
+  parallel_for(n * kParallelGrain, n, [&](std::size_t i) {
+    try {
+      task(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 }  // namespace ahn

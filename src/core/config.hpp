@@ -23,9 +23,10 @@ struct Config {
   std::size_t k_min = 4;
   std::size_t k_max = 48;
   std::size_t ae_epochs = 30;
-  /// Worker threads for concurrent NAS candidate training (-searchWorkers).
-  /// <= 1 evaluates inline; > 1 also widens the inner-BO proposal batch to
-  /// match. Either way the search result is identical (see NasOptions).
+  /// Inner-BO proposal batch width (-searchWorkers, sets
+  /// NasOptions::eval_batch): values above 1 propose and train that many
+  /// candidates per round, which changes the search. The threads that train
+  /// a batch come from the OpenMP team budget, not from this value.
   std::size_t search_workers = 1;
 
   // ----- model-level (Table 1) -----

@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <exception>
 #include <memory>
 #include <numeric>
 
@@ -8,7 +7,6 @@
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ahn::core {
 
@@ -17,30 +15,19 @@ nn::Dataset AutoHPCnet::acquire_samples(const apps::Application& app,
   AHN_CHECK(!problems.empty());
   // Problems are independent exact runs (run_region is safe to call
   // concurrently) and each writes only its own row, so the samples are the
-  // same bits at any team size. Every run is far above the grain. An
-  // exception must not leave an OpenMP region: each problem keeps its own,
-  // and the lowest problem's, the one a serial loop would have thrown, is
-  // rethrown after the team.
+  // same bits at any team size.
   const std::size_t n = problems.size();
   nn::Dataset data;
   data.x = Tensor({n, app.input_dim()});
   data.y = Tensor({n, app.output_dim()});
-  std::vector<std::exception_ptr> errors(n);
-  parallel_for(n * kParallelGrain, n, [&](std::size_t i) {
-    try {
-      const std::vector<double> feat = app.input_features(problems[i]);
-      AHN_CHECK(feat.size() == app.input_dim());
-      std::copy(feat.begin(), feat.end(), data.x.row(i).begin());
-      const apps::RegionRun run = app.run_region(problems[i]);
-      AHN_CHECK(run.outputs.size() == app.output_dim());
-      std::copy(run.outputs.begin(), run.outputs.end(), data.y.row(i).begin());
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
+  parallel_tasks(n, [&](std::size_t i) {
+    const std::vector<double> feat = app.input_features(problems[i]);
+    AHN_CHECK(feat.size() == app.input_dim());
+    std::copy(feat.begin(), feat.end(), data.x.row(i).begin());
+    const apps::RegionRun run = app.run_region(problems[i]);
+    AHN_CHECK(run.outputs.size() == app.output_dim());
+    std::copy(run.outputs.begin(), run.outputs.end(), data.y.row(i).begin());
   });
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
   return data;
 }
 
@@ -130,13 +117,7 @@ PipelineResult AutoHPCnet::run(apps::Application& app) const {
   // Phase 2: hierarchical BO with the customized autoencoder (§4, §5).
   std::shared_ptr<sparse::Csr> sparse_storage;
   nas::SearchTask task = make_task(app, std::move(data), valid_ids, sparse_storage);
-  nas::NasOptions nas_opts = config_.nas_options();
-  std::unique_ptr<runtime::ThreadPool> search_pool;
-  if (config_.search_workers > 1) {
-    search_pool = std::make_unique<runtime::ThreadPool>(config_.search_workers);
-    nas_opts.pool = search_pool.get();
-  }
-  const nas::TwoDNas searcher(nas_opts);
+  const nas::TwoDNas searcher(config_.nas_options());
   {
     const obs::Span span(tracer, "offline.search");
     result.search = searcher.search(task);

@@ -1,11 +1,10 @@
 #include "nas/baseline_searchers.hpp"
 
 #include <cmath>
-#include <future>
 #include <utility>
 
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ahn::nas {
 
@@ -25,31 +24,17 @@ struct TimedEval {
   double seconds = 0.0;
 };
 
-/// Trains the drafted specs — concurrently on the pool when one is set,
-/// inline otherwise — and returns results in draft order. Each spec comes
-/// paired with its pre-forked Rng, so scheduling cannot change any outcome.
+/// Trains the drafted specs as whole tasks on the caller's team (each at a
+/// team of one) and returns results in draft order. Each spec comes paired
+/// with its pre-forked Rng, so scheduling cannot change any outcome.
 std::vector<TimedEval> evaluate_drafts(
-    const SearchTask& task, runtime::ThreadPool* pool,
-    std::vector<std::pair<nn::TopologySpec, Rng>> drafts) {
+    const SearchTask& task, const std::vector<std::pair<nn::TopologySpec, Rng>>& drafts) {
   std::vector<TimedEval> out(drafts.size());
-  std::vector<std::future<TimedEval>> futures(drafts.size());
-  for (std::size_t i = 0; i < drafts.size(); ++i) {
-    auto job = [&task, spec = drafts[i].first, child = drafts[i].second] {
-      const Timer t;
-      TimedEval e;
-      e.pm = loss_driven_candidate(task, spec, child);
-      e.seconds = t.seconds();
-      return e;
-    };
-    if (pool != nullptr) {
-      futures[i] = pool->submit(std::move(job));
-    } else {
-      out[i] = job();
-    }
-  }
-  for (std::size_t i = 0; i < drafts.size(); ++i) {
-    if (futures[i].valid()) out[i] = futures[i].get();
-  }
+  parallel_tasks(drafts.size(), [&](std::size_t i) {
+    const Timer t;
+    out[i].pm = loss_driven_candidate(task, drafts[i].first, drafts[i].second);
+    out[i].seconds = t.seconds();
+  });
   return out;
 }
 
@@ -92,8 +77,7 @@ NasResult AutokerasLike::search(const SearchTask& task) const {
     for (const std::vector<double>& x : xs) {
       drafts.emplace_back(task.space.decode(x), rng.fork());
     }
-    std::vector<TimedEval> evals =
-        evaluate_drafts(task, options_.pool, std::move(drafts));
+    std::vector<TimedEval> evals = evaluate_drafts(task, drafts);
     for (std::size_t i = 0; i < evals.size(); ++i) {
       PipelineModel& pm = evals[i].pm;
       // Objective is the model's own validation loss — NOT application
@@ -131,8 +115,7 @@ NasResult GridSearch::search(const SearchTask& task) const {
       drafts.emplace_back(spec, rng.fork());
     }
   }
-  std::vector<TimedEval> evals =
-      evaluate_drafts(task, options_.pool, std::move(drafts));
+  std::vector<TimedEval> evals = evaluate_drafts(task, drafts);
   for (TimedEval& e : evals) {
     const double val_loss = e.pm.surrogate.result.val_loss;
     result.steps.push_back(step_from(e.pm, e.seconds));

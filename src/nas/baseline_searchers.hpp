@@ -19,11 +19,10 @@ namespace ahn::nas {
 struct AutokerasOptions {
   std::size_t iterations = 8;
   std::size_t bayesian_init = 3;
-  /// Candidates proposed per BO round (constant-liar batch) and trained
-  /// concurrently when a pool is set. Same-batch serial and parallel runs
-  /// produce identical results (per-candidate Rng forks drafted in order).
+  /// Candidates proposed per BO round (constant-liar batch), trained as
+  /// whole tasks on the caller's team. The same eval_batch gives the same
+  /// search at any team budget (per-candidate Rng forks drafted in order).
   std::size_t eval_batch = 1;
-  runtime::ThreadPool* pool = nullptr;  ///< not owned; null = inline
 };
 
 class AutokerasLike {
@@ -38,13 +37,13 @@ class AutokerasLike {
   AutokerasOptions options_;
 };
 
+/// Grid cells are embarrassingly parallel and train as whole tasks on the
+/// caller's team: every cell's Rng is forked up front in (layers, units)
+/// order and results are collected in that same order, so every team budget
+/// picks the identical best model.
 struct GridSearchOptions {
   std::vector<std::size_t> layer_grid{1, 2, 3, 4};
   std::vector<std::size_t> unit_grid{16, 32, 64, 128};
-  /// Grid cells are embarrassingly parallel: every cell's Rng is forked up
-  /// front in (layers, units) order and results are collected in that same
-  /// order, so pooled and inline runs pick the identical best model.
-  runtime::ThreadPool* pool = nullptr;  ///< not owned; null = inline
 };
 
 class GridSearch {

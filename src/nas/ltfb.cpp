@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <numeric>
 #include <optional>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
 #include "runtime/orchestrator.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ahn::nas {
 
@@ -124,12 +123,10 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
   const std::size_t rounds = std::max<std::size_t>(1, options_.rounds);
   const std::size_t interval = std::max<std::size_t>(1, options_.tournament_interval);
 
-  // Workers always evaluate candidates inline: the shared ThreadPool has no
-  // work-stealing, so a pooled worker that submitted its own evaluations and
-  // blocked on them could deadlock the pool. Worker-granularity parallelism
-  // is the point of the population anyway.
-  NasOptions worker_nas = options_.nas;
-  worker_nas.pool = nullptr;
+  const NasOptions& worker_nas = options_.nas;
+  // Worker rounds may run on OpenMP workers, whose span context is empty, so
+  // their spans open under the search's context explicitly.
+  const obs::SpanContext search_ctx = search_span.context();
 
   const std::size_t in_width = task.data.in_features();
   const bool reduce = worker_nas.search_type != SearchType::FullInput &&
@@ -168,7 +165,7 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
       // Full-input round: one inner search on the raw features. Memo keys
       // ("full|...") persist across rounds, so revisited specs are free.
       InnerOutcome inner = inner_topology_search(nas, task, task.data, nullptr, 0.0,
-                                                 round, w.rng, w.memo);
+                                                 round, w.rng, w.memo, 0, search_ctx);
       w.adopted.reset();
       absorb(w, std::move(inner), task);
       return;
@@ -179,7 +176,7 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
       // full-width probe so a worker only adopts reduction when it wins.
       InnerOutcome full =
           inner_topology_search(nas, task, task.data, nullptr, 0.0, 0, w.rng, w.memo,
-                                std::min<std::size_t>(2, nas.inner_iterations));
+                                std::min<std::size_t>(2, nas.inner_iterations), search_ctx);
       absorb(w, std::move(full), task);
       gp::BoOptions outer_opts;
       outer_opts.dim = 1;
@@ -202,7 +199,8 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
     }
     w.adopted.reset();
 
-    OuterIterate iterate = run_outer_iterate(nas, task, k, round, w.rng, w.memo);
+    OuterIterate iterate =
+        run_outer_iterate(nas, task, k, round, w.rng, w.memo, search_ctx);
     w.outer->observe({xk, task.expected_online_seconds(iterate.inner.best),
                       iterate.outer_constraint});
     absorb(w, std::move(iterate.inner), task);
@@ -210,20 +208,9 @@ PopulationResult PopulationSearch::search(const SearchTask& task) const {
 
   for (std::size_t round = 0; round < rounds; ++round) {
     // Segment barrier: every worker finishes the round before any
-    // tournament. Futures are joined in worker-id order, so merged state is
-    // independent of completion order.
-    if (options_.pool != nullptr && population > 1) {
-      std::vector<std::future<void>> done;
-      done.reserve(population);
-      for (WorkerState& w : workers) {
-        done.push_back(options_.pool->submit([&run_round, &w, round] {
-          run_round(w, round);
-        }));
-      }
-      for (std::future<void>& f : done) f.get();
-    } else {
-      for (WorkerState& w : workers) run_round(w, round);
-    }
+    // tournament, and the tournament reads workers in id order, so merged
+    // state is independent of completion order.
+    parallel_tasks(population, [&](std::size_t w) { run_round(workers[w], round); });
 
     // Tournament (skipped on the final round — there would be no rounds
     // left to exploit an adoption).

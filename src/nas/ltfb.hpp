@@ -13,11 +13,13 @@
 // never does.
 //
 // Determinism contract: a fixed task seed yields a bitwise-identical search
-// regardless of pool presence or size. Worker streams are seeded by
+// at any OpenMP team budget. Worker streams are seeded by
 // (seed, worker-id); tournament pairing and perturbation are drawn from
 // schedules keyed by (seed, round[, loser-id]) — never by arrival order —
 // and tournaments happen at a barrier over per-round results merged in
-// worker-id order.
+// worker-id order. Each round's worker bodies run as whole tasks on the
+// caller's team (parallel_tasks in common/parallel.hpp), each at a team of
+// one; a population of one runs inline at the caller's budget.
 
 #include <cstdint>
 #include <utility>
@@ -30,11 +32,7 @@ namespace ahn::nas {
 
 struct PopulationOptions {
   /// Per-worker 2D-NAS knobs. `nas.outer_iterations` is ignored (the
-  /// population's `rounds` drives the outer loop) and `nas.pool` is ignored
-  /// too: workers always evaluate candidates inline, because the shared
-  /// runtime::ThreadPool has no work-stealing — a worker task that submitted
-  /// its own evaluations and waited would deadlock the pool. Parallelism is
-  /// at worker granularity only.
+  /// population's `rounds` drives the outer loop).
   NasOptions nas;
   std::size_t population = 4;          ///< P independent search workers
   std::size_t rounds = 4;              ///< outer rounds per worker
@@ -42,9 +40,6 @@ struct PopulationOptions {
   /// Half-width of the uniform jitter applied to an adopted elite's K in
   /// log-encoded [0,1] space (decode clamps back into [k_min, k_max]).
   double k_jitter = 0.25;
-  /// Executor for the worker round bodies; null = run workers serially on
-  /// the caller's thread (bitwise-identical results either way). Not owned.
-  runtime::ThreadPool* pool = nullptr;
 };
 
 /// What crosses workers at a tournament: the winner's best (K, theta) and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <future>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -12,7 +11,6 @@
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ahn::nas {
 
@@ -142,13 +140,15 @@ InnerOutcome inner_topology_search(
   };
 
   /// Evaluates a drafted round: memo hits and duplicates resolve without
-  /// training, misses train concurrently on the pool (inline without one),
-  /// and observations are recorded strictly in proposal order afterwards.
+  /// training, misses train as whole tasks on the caller's team (each at a
+  /// team of one), and observations are recorded strictly in proposal order
+  /// afterwards.
   auto run_round = [&](std::vector<Draft>& round) {
     struct Fresh {
       PipelineModel pm;
       double seconds = 0.0;
     };
+    std::vector<std::size_t> misses;
     for (std::size_t i = 0; i < round.size(); ++i) {
       Draft& d = round[i];
       if (auto it = memo.find(d.key); it != memo.end()) {
@@ -162,28 +162,15 @@ InnerOutcome inner_topology_search(
           break;
         }
       }
+      if (d.dup_of == SIZE_MAX) misses.push_back(i);
     }
-    std::vector<std::future<Fresh>> futures(round.size());
     std::vector<Fresh> fresh(round.size());
-    for (std::size_t i = 0; i < round.size(); ++i) {
-      const Draft& d = round[i];
-      if (d.cached != nullptr || d.dup_of != SIZE_MAX) continue;
-      auto job = [&task, &reduced, &encoder, spec = d.spec, child = d.child] {
-        const Timer step_timer;
-        Fresh f;
-        f.pm = evaluate_candidate(task, spec, encoder, reduced, child);
-        f.seconds = step_timer.seconds();
-        return f;
-      };
-      if (options.pool != nullptr) {
-        futures[i] = options.pool->submit(std::move(job));
-      } else {
-        fresh[i] = job();
-      }
-    }
-    for (std::size_t i = 0; i < round.size(); ++i) {
-      if (futures[i].valid()) fresh[i] = futures[i].get();
-    }
+    parallel_tasks(misses.size(), [&](std::size_t m) {
+      const Draft& d = round[misses[m]];
+      const Timer step_timer;
+      fresh[misses[m]].pm = evaluate_candidate(task, d.spec, encoder, reduced, d.child);
+      fresh[misses[m]].seconds = step_timer.seconds();
+    });
     for (std::size_t i = 0; i < round.size(); ++i) {
       Draft& d = round[i];
       if (d.cached != nullptr) {
@@ -240,7 +227,7 @@ InnerOutcome inner_topology_search(
 
 OuterIterate run_outer_iterate(const NasOptions& options, const SearchTask& task,
                                std::size_t k, std::size_t outer_iter, Rng& rng,
-                               EvalMemo& memo) {
+                               EvalMemo& memo, obs::SpanContext parent) {
   const std::size_t in_width = task.data.in_features();
   OuterIterate iterate;
   iterate.latent_k = k;
@@ -256,7 +243,7 @@ OuterIterate run_outer_iterate(const NasOptions& options, const SearchTask& task
   auto ae = std::make_shared<autoencoder::Autoencoder>(in_width, acfg);
   autoencoder::AutoencoderReport ae_rep;
   {
-    const obs::Span ae_span(obs::Tracer::global(), "nas.autoencoder_train");
+    const obs::Span ae_span(obs::Tracer::global(), "nas.autoencoder_train", parent);
     ae_rep = task.sparse_x != nullptr ? ae->train_sparse(*task.sparse_x)
                                       : ae->train(task.data.x);
   }
@@ -270,8 +257,8 @@ OuterIterate run_outer_iterate(const NasOptions& options, const SearchTask& task
                                        : ae->encode(task.data.x);
   reduced.y = task.data.y;
 
-  iterate.inner = inner_topology_search(options, task, reduced, ae,
-                                        ae_rep.miss_fraction, outer_iter, rng, memo);
+  iterate.inner = inner_topology_search(options, task, reduced, ae, ae_rep.miss_fraction,
+                                        outer_iter, rng, memo, 0, parent);
 
   // The outer GP's f_e: the inner loop's best, inflated past the feasibility
   // threshold when the autoencoder violates its encoding bound (Eqn 1) so

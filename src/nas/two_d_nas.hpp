@@ -19,10 +19,6 @@
 #include "nas/search_task.hpp"
 #include "obs/trace.hpp"
 
-namespace ahn::runtime {
-class ThreadPool;
-}
-
 namespace ahn::nas {
 
 enum class SearchType { Autokeras, UserModel, FullInput };
@@ -42,14 +38,12 @@ struct NasOptions {
   /// stagnation count (the paper: "a continuing search does not lead to
   /// enough improvement").
   std::size_t patience = 3;
-  /// Inner-loop candidates proposed per BO round (constant-liar batch) and
-  /// trained concurrently. An algorithm parameter, independent of worker
-  /// count: the same eval_batch yields the same search whether candidates
-  /// run on a pool or inline.
+  /// Inner-loop candidates proposed per BO round (constant-liar batch). A
+  /// round's fresh candidates train as whole tasks on the caller's OpenMP
+  /// team (common/parallel.hpp), each at a team of one. An algorithm
+  /// parameter, independent of the team: the same eval_batch yields the
+  /// same search at any team budget.
   std::size_t eval_batch = 1;
-  /// Executor for concurrent candidate training; null = evaluate inline on
-  /// the caller's thread. Not owned.
-  runtime::ThreadPool* pool = nullptr;
 };
 
 /// One completed (K, theta) evaluation — the searchers' audit trail and the
@@ -100,8 +94,8 @@ using EvalMemo = std::unordered_map<std::string, PipelineModel>;
 
 /// One inner BO over topology theta on (optionally reduced) features.
 /// Proposal drafting, Rng forking and memoization run on the caller's
-/// thread in proposal order, so the outcome is independent of how (or
-/// whether) candidate training is parallelized on options.pool. It takes
+/// thread in proposal order, so the outcome is independent of the team that
+/// trains a round's candidates. It takes
 /// one draw from `rng` for its BO plus one per drafted candidate. Its
 /// "nas.inner_search" span opens under `parent`.
 [[nodiscard]] InnerOutcome inner_topology_search(
@@ -115,6 +109,8 @@ using EvalMemo = std::unordered_map<std::string, PipelineModel>;
 /// draw from `rng` (the autoencoder's seed) plus the inner search's. The returned
 /// `outer_constraint` is the f_e the outer GP should observe — inflated past
 /// the feasibility threshold when the autoencoder misses its encoding bound.
+/// Its "nas.autoencoder_train" and "nas.inner_search" spans open under
+/// `parent`.
 struct OuterIterate {
   InnerOutcome inner;
   std::size_t latent_k = 0;
@@ -126,7 +122,8 @@ struct OuterIterate {
 [[nodiscard]] OuterIterate run_outer_iterate(const NasOptions& options,
                                              const SearchTask& task, std::size_t k,
                                              std::size_t outer_iter, Rng& rng,
-                                             EvalMemo& memo);
+                                             EvalMemo& memo,
+                                             obs::SpanContext parent = obs::Tracer::current());
 
 class TwoDNas {
  public:

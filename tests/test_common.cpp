@@ -6,7 +6,10 @@
 #include <omp.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -247,6 +250,57 @@ TEST(ParallelFor, ThreadBudgetOfOneNeverForks) {
   serving.join();
   // The budget is per thread: the caller's own team is untouched.
   EXPECT_EQ(parallel_team_size(100 * kParallelGrain, 1000), 4);
+}
+
+// Tasks 1-3 throw, task 1 last in time. All four run in the team, and the
+// exception rethrown is task 1's, the one a serial loop would have thrown.
+TEST(ParallelTasks, RethrowsTheLowestFailingTasksException) {
+  const TeamBudget budget(4);
+  std::atomic<int> ran{0};
+  std::string what = "no exception";
+  try {
+    parallel_tasks(4, [&](std::size_t i) {
+      ++ran;
+      if (i == 0) return;
+      if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("task " + std::to_string(i));
+    });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "task 1");
+  EXPECT_EQ(ran.load(), 4);
+}
+
+// Inside the team every nested loop runs serially: each task sees a team of
+// one, however much work it has.
+TEST(ParallelTasks, EachTaskRunsAtATeamOfOne) {
+  const TeamBudget budget(4);
+  std::vector<int> team(8, 0), nested(8, 0);
+  parallel_tasks(team.size(), [&](std::size_t i) {
+    team[i] = omp_get_num_threads();
+    nested[i] = parallel_team_size(std::size_t{1} << 40, 1000);
+  });
+  for (std::size_t i = 0; i < team.size(); ++i) {
+    EXPECT_EQ(team[i], 4) << "task " << i;
+    EXPECT_EQ(nested[i], 1) << "task " << i;
+  }
+}
+
+TEST(ParallelTasks, OneTaskRunsInlineAtTheCallersBudget) {
+  const TeamBudget budget(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  bool on_caller = false;
+  bool in_team = true;
+  int nested = 0;
+  parallel_tasks(1, [&](std::size_t) {
+    on_caller = std::this_thread::get_id() == caller;
+    in_team = omp_in_parallel() != 0;
+    nested = parallel_team_size(std::size_t{1} << 40, 1000);
+  });
+  EXPECT_TRUE(on_caller);
+  EXPECT_FALSE(in_team);
+  EXPECT_EQ(nested, 4);
 }
 
 TEST(TextTable, RendersAlignedRows) {

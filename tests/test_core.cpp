@@ -327,34 +327,52 @@ Config small_canneal_config() {
   return cfg;
 }
 
-// The search runs its reference arm and outer initial design concurrently
-// at a full team: the whole build must be the bits of the serial one.
-TEST(Pipeline, CannealRunAtFullTeamMatchesTeamOfOne) {
-  const auto build = [](int team) {
-    const team_test::ScopedTeamBudget budget(team);
-    auto app = apps::make_application("Canneal");
-    PipelineResult res = AutoHPCnet(small_canneal_config()).run(*app);
-    std::vector<double> bits;
-    for (const nas::SearchStep& s : res.search.steps) {
-      bits.insert(bits.end(), {static_cast<double>(s.latent_k), s.quality_error,
-                               s.hit_share, s.modeled_infer_seconds, s.encoding_miss});
-    }
-    bits.insert(bits.end(), {static_cast<double>(res.model.latent_k),
-                             res.model.quality_error, res.evaluation.hit_rate,
-                             res.evaluation.mean_qoi_error});
-    for (const std::size_t p : res.eval_problems) {
-      const std::vector<double> y = res.model.infer(app->input_features(p));
-      bits.insert(bits.end(), y.begin(), y.end());
-    }
-    return std::make_pair(bits, res.model.spec.describe());
-  };
-  const auto serial = build(1);
-  const auto full = build(4);
+/// Every searched step, the winner, its evaluation and its predictions on
+/// the held-out problems of a Canneal build at a team budget, as bits, and
+/// the winner's spec.
+std::pair<std::vector<double>, std::string> canneal_build(const Config& cfg, int team) {
+  const team_test::ScopedTeamBudget budget(team);
+  auto app = apps::make_application("Canneal");
+  PipelineResult res = AutoHPCnet(cfg).run(*app);
+  std::vector<double> bits;
+  for (const nas::SearchStep& s : res.search.steps) {
+    bits.insert(bits.end(), {static_cast<double>(s.latent_k), s.quality_error,
+                             s.hit_share, s.modeled_infer_seconds, s.encoding_miss});
+  }
+  bits.insert(bits.end(), {static_cast<double>(res.model.latent_k),
+                           res.model.quality_error, res.evaluation.hit_rate,
+                           res.evaluation.mean_qoi_error});
+  for (const std::size_t p : res.eval_problems) {
+    const std::vector<double> y = res.model.infer(app->input_features(p));
+    bits.insert(bits.end(), y.begin(), y.end());
+  }
+  return std::make_pair(bits, res.model.spec.describe());
+}
+
+void expect_full_team_build_matches_serial(const Config& cfg) {
+  const auto serial = canneal_build(cfg, 1);
+  const auto full = canneal_build(cfg, 4);
   EXPECT_EQ(full.second, serial.second);
   ASSERT_EQ(full.first.size(), serial.first.size());
   EXPECT_EQ(0, std::memcmp(full.first.data(), serial.first.data(),
                            serial.first.size() * sizeof(double)))
       << "the build at a full team differs from the serial build";
+}
+
+// The search runs its reference arm and outer initial design concurrently
+// at a full team: the whole build must be the bits of the serial one.
+TEST(Pipeline, CannealRunAtFullTeamMatchesTeamOfOne) {
+  expect_full_team_build_matches_serial(small_canneal_config());
+}
+
+// search_workers = 4 proposes and trains four candidates per inner round.
+// With one draw of initial design the second outer iterate runs after the
+// arm team, so its rounds fork the full team as whole tasks.
+TEST(Pipeline, CannealRunWithFourSearchWorkersAtFullTeamMatchesTeamOfOne) {
+  Config cfg = small_canneal_config();
+  cfg.search_workers = 4;
+  cfg.bayesian_init = 1;
+  expect_full_team_build_matches_serial(cfg);
 }
 
 // Arms run on OpenMP workers, whose own span context is empty: each arm's

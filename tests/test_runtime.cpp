@@ -1,7 +1,7 @@
 // Tests for src/runtime: the roofline device model (monotonicity, profiles,
 // Table-3 cache heuristics), the orchestrator/client tensor store and model
 // registry (Listing 1 semantics), the modeled §7.3 phase cost, and the
-// concurrent serving path (sharded store, thread pool, micro-batching).
+// concurrent serving path (sharded store, micro-batching).
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "runtime/deployment.hpp"
 #include "runtime/orchestrator.hpp"
 #include "runtime/sharded_store.hpp"
-#include "runtime/thread_pool.hpp"
 #include "team_budgets.hpp"
 
 namespace ahn::runtime {
@@ -323,52 +322,6 @@ TEST(ShardedStore, NoTornReadsUnderContendedOverwrites) {
   }
   for (auto& th : writers) th.join();
   for (auto& th : readers) th.join();
-}
-
-// -------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, ExecutesSubmittedTasksAndReturnsValues) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::vector<std::future<int>> futures;
-  futures.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw Error("boom"); });
-  EXPECT_THROW((void)f.get(), Error);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      // Futures intentionally dropped: destruction must still run the work.
-      (void)pool.submit([&ran] { ran.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(ran.load(), 32);
-}
-
-// Serving-owned threads carry a team budget of 1: whatever the work, a
-// parallel_for inside a pool job runs serially on the worker.
-TEST(ThreadPool, JobsSeeATeamOfOne) {
-  ThreadPool pool(2);
-  const std::size_t huge = std::size_t{1} << 40;
-  auto job = pool.submit([huge] {
-    std::vector<int> team(64, 0);  // team size seen by each iteration
-    parallel_for(huge, team.size(), [&](std::size_t i) { team[i] = omp_get_num_threads(); });
-    return std::pair(parallel_team_size(huge, huge), *std::max_element(team.begin(), team.end()));
-  });
-  const auto [team, widest] = job.get();
-  EXPECT_EQ(team, 1);
-  EXPECT_EQ(widest, 1);
 }
 
 // ------------------------------------------------- Concurrent orchestration
